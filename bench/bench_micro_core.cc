@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the core explanation machinery
-// over the SO world: query preparation, the NextBestAtt inner loop, joint
+// over the SO world: query preparation (with a warm and an emptied
+// preparation memo), the NextBestAtt inner loop, joint
 // conditioning-set evaluation, the identification guard, full MCIMR, and
 // the unexplained-subgroup search. These are the building blocks behind
 // Figures 4-6.
@@ -14,6 +15,7 @@
 #include "core/pruning.h"
 #include "core/subgroups.h"
 #include "datagen/registry.h"
+#include "missing/bias_memo.h"
 
 namespace mesa {
 namespace {
@@ -52,6 +54,22 @@ void BM_PrepareQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrepareQuery)->Unit(benchmark::kMillisecond);
+
+// The same with the preparation memo (docs/performance.md §2.6) emptied
+// before each iteration: every candidate's selection-bias tests and
+// propensity fits run again, while the discretizer and info caches stay
+// warm. The gap to BM_PrepareQuery is what the memo saves.
+void BM_PrepareQueryColdMemo(benchmark::State& state) {
+  SoFixture& f = SoFixture::Get();
+  for (auto _ : state) {
+    state.PauseTiming();
+    ClearBiasMemo();
+    state.ResumeTiming();
+    auto pq = f.mesa->PrepareQuery(f.query);
+    benchmark::DoNotOptimize(pq);
+  }
+}
+BENCHMARK(BM_PrepareQueryColdMemo)->Unit(benchmark::kMillisecond);
 
 void BM_NextBestAttributeColdCache(benchmark::State& state) {
   SoFixture& f = SoFixture::Get();

@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <set>
 
 #include "common/cancel.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
+#include "info/info_cache.h"
+#include "missing/bias_memo.h"
+#include "missing/mask.h"
 
 namespace mesa {
 
@@ -30,6 +35,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
     const Table& table, const QuerySpec& query,
     const std::vector<std::string>& candidates,
     const std::vector<std::string>& kg_columns, const PrepareOptions& options) {
+  MESA_SPAN("qa_prepare");
   MESA_RETURN_IF_ERROR(query.Validate(table));
 
   QueryAnalysis qa;
@@ -37,28 +43,33 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
   qa.options_ = options;
 
   // Condition on C by restricting to matching rows.
-  MESA_ASSIGN_OR_RETURN(std::vector<size_t> rows,
-                        query.context.MatchingRows(table));
-  if (rows.empty()) {
-    return Status::InvalidArgument("query context matches no rows");
-  }
-  qa.context_table_ = table.TakeRows(rows);
-  qa.n_ = qa.context_table_.num_rows();
-
-  MESA_ASSIGN_OR_RETURN(
-      Discretized o,
-      DiscretizeColumn(qa.context_table_, query.outcome, options.discretizer));
-  qa.outcome_ = CodedVariable{std::move(o.codes), o.cardinality};
-  // The effective exposure is the composite of all grouping attributes;
-  // the components are kept for per-component trap tests.
-  for (const std::string& name : query.AllExposures()) {
-    MESA_ASSIGN_OR_RETURN(
-        Discretized t,
-        DiscretizeColumn(qa.context_table_, name, options.discretizer));
-    qa.exposure_components_.push_back(
-        CodedVariable{std::move(t.codes), t.cardinality});
-  }
   {
+    MESA_SPAN("context");
+    MESA_ASSIGN_OR_RETURN(std::vector<size_t> rows,
+                          query.context.MatchingRows(table));
+    if (rows.empty()) {
+      return Status::InvalidArgument("query context matches no rows");
+    }
+    qa.context_table_ = table.TakeRows(rows);
+    qa.n_ = qa.context_table_.num_rows();
+  }
+
+  {
+    MESA_SPAN("discretize");
+    MESA_ASSIGN_OR_RETURN(
+        Discretized o,
+        DiscretizeColumn(qa.context_table_, query.outcome,
+                         options.discretizer));
+    qa.outcome_ = CodedVariable{std::move(o.codes), o.cardinality};
+    // The effective exposure is the composite of all grouping attributes;
+    // the components are kept for per-component trap tests.
+    for (const std::string& name : query.AllExposures()) {
+      MESA_ASSIGN_OR_RETURN(
+          Discretized t,
+          DiscretizeColumn(qa.context_table_, name, options.discretizer));
+      qa.exposure_components_.push_back(
+          CodedVariable{std::move(t.codes), t.cardinality});
+    }
     std::vector<const CodedVariable*> ptrs;
     for (const auto& p : qa.exposure_components_) ptrs.push_back(&p);
     qa.exposure_ = CombineAll(ptrs, qa.n_);
@@ -73,6 +84,72 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
     ipw.covariates = {query.exposure, query.outcome};
   }
 
+  // Built at most once per Prepare, the first time a candidate needs it,
+  // and shared by every candidate: the memo's key part for this query,
+  // and the IPW design (the same covariates over the same rows for every
+  // weighted attribute).
+  const bool use_memo = info_cache::Enabled();
+  std::once_flag key_once;
+  uint64_t query_key = 0;
+  auto shared_query_key = [&]() {
+    std::call_once(key_once, [&] {
+      query_key = BiasMemoQueryKey(qa.context_table_, query.outcome,
+                                   query.AllExposures(), options.discretizer,
+                                   options.bias, ipw);
+    });
+    return query_key;
+  };
+  std::once_flag design_once;
+  std::optional<Result<IpwDesign>> design;
+  auto shared_design = [&]() -> const Result<IpwDesign>& {
+    std::call_once(design_once, [&] {
+      MESA_SPAN("ipw_design");
+      design.emplace(IpwDesign::Build(qa.context_table_, ipw.covariates));
+    });
+    return *design;
+  };
+
+  // Selection-bias verdict and IPW weights of one candidate with nulls
+  // (Section 3.2), through the content-addressed memo: a hit skips the
+  // bias tests and the fit, keeping one predict pass over the design.
+  auto handle_missing = [&](const std::string& name, const Column& col,
+                            PreparedAttribute* attr) -> Status {
+    BiasVerdict verdict;
+    uint64_t key = 0;
+    bool hit = false;
+    if (use_memo) {
+      key = BiasMemoKey(shared_query_key(), col);
+      hit = LookupBiasVerdict(key, &verdict);
+    }
+    if (!hit) {
+      MESA_SPAN("selection_bias");
+      SelectionBiasOptions bias = options.bias;
+      bias.outcome_codes = &qa.outcome_;
+      bias.exposure_codes = &qa.exposure_;
+      MESA_ASSIGN_OR_RETURN(
+          SelectionBiasReport report,
+          DetectSelectionBias(qa.context_table_, name, query.outcome,
+                              query.exposure, bias));
+      verdict.biased = report.biased;
+    }
+    attr->selection_biased = verdict.biased;
+    if (verdict.biased) {
+      std::vector<uint8_t> r = MissingnessIndicator(col);
+      if (!TrivialIpwWeights(r, &attr->weights)) {
+        const Result<IpwDesign>& x = shared_design();
+        MESA_RETURN_IF_ERROR(x.status());
+        LogisticModel model(verdict.coefficients);
+        if (!hit) {
+          MESA_ASSIGN_OR_RETURN(model, x->Fit(r, ipw.logistic));
+          verdict.coefficients = model.coefficients();
+        }
+        attr->weights = x->Weights(r, model, ipw.clip);
+      }
+    }
+    if (use_memo && !hit) InsertBiasVerdict(key, std::move(verdict));
+    return Status::OK();
+  };
+
   // Candidate preparation (discretization, selection-bias detection, IPW
   // weight fitting) is independent per attribute: fan out over the pool
   // into order-stable slots, then assemble serially. The first error in
@@ -82,7 +159,6 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
     if (name == query.outcome || query.IsExposure(name)) continue;
     names.push_back(name);
   }
-  MESA_SPAN("qa_prepare");
   MESA_COUNT_N("qa/candidates_prepared", names.size());
   std::vector<Status> statuses(names.size());
   std::vector<PreparedAttribute> prepared(names.size());
@@ -98,26 +174,16 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
           attr.name = name;
           attr.from_kg = kg_set.count(name) > 0;
           attr.missing_fraction = col->null_fraction();
-          MESA_ASSIGN_OR_RETURN(
-              Discretized d,
-              DiscretizeColumn(qa.context_table_, name, options.discretizer));
-          attr.coded = CodedVariable{std::move(d.codes), d.cardinality};
-
-          if (options.handle_selection_bias && col->null_count() > 0) {
-            SelectionBiasOptions bias = options.bias;
-            bias.outcome_codes = &qa.outcome_;
-            bias.exposure_codes = &qa.exposure_;
+          {
+            MESA_SPAN("discretize");
             MESA_ASSIGN_OR_RETURN(
-                SelectionBiasReport report,
-                DetectSelectionBias(qa.context_table_, name, query.outcome,
-                                    query.exposure, bias));
-            attr.selection_biased = report.biased;
-            if (report.biased) {
-              MESA_ASSIGN_OR_RETURN(
-                  IpwWeights w,
-                  ComputeIpwWeights(qa.context_table_, name, ipw));
-              attr.weights = std::move(w.weights);
-            }
+                Discretized d,
+                DiscretizeColumn(qa.context_table_, name,
+                                 options.discretizer));
+            attr.coded = CodedVariable{std::move(d.codes), d.cardinality};
+          }
+          if (options.handle_selection_bias && col->null_count() > 0) {
+            MESA_RETURN_IF_ERROR(handle_missing(name, *col, &attr));
           }
           prepared[ci] = std::move(attr);
           return Status::OK();

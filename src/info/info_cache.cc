@@ -33,6 +33,7 @@ struct Caches {
 
 std::mutex g_caches_mu;
 std::shared_ptr<Caches> g_caches;  // created lazily under g_caches_mu
+std::vector<void (*)()> g_on_clear;  // guarded by g_caches_mu
 
 std::atomic<uint64_t> g_scalar_hits{0};
 std::atomic<uint64_t> g_scalar_misses{0};
@@ -99,6 +100,17 @@ void Clear() {
   auto caches = GetCaches();
   caches->scalar.Clear();
   caches->cube.Clear();
+  std::vector<void (*)()> hooks;
+  {
+    std::lock_guard<std::mutex> lock(g_caches_mu);
+    hooks = g_on_clear;
+  }
+  for (void (*clear)() : hooks) clear();
+}
+
+void OnClear(void (*clear)()) {
+  std::lock_guard<std::mutex> lock(g_caches_mu);
+  g_on_clear.push_back(clear);
 }
 
 Stats GetStats() {

@@ -87,9 +87,15 @@ class EphemeralScope {
   EphemeralScope& operator=(const EphemeralScope&) = delete;
 };
 
-/// Drops every cached entry (both layers). Benchmarks call this between
-/// timed arms so one arm cannot warm the next.
+/// Drops every cached entry (both layers, plus every memo registered
+/// through OnClear). Benchmarks call this between timed arms so one arm
+/// cannot warm the next.
 void Clear();
+
+/// Registers `clear` to run on every Clear(). Memos elsewhere that share
+/// this cache's gate (the selection-bias / IPW memo, missing/bias_memo.h)
+/// register themselves on first use, so one Clear() drops them all.
+void OnClear(void (*clear)());
 
 /// Cumulative counters, maintained independently of common/metrics so
 /// tests work in MESA_METRICS=OFF builds.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -123,22 +124,31 @@ Result<RunResult> RunWorkload(const std::vector<WorkloadQuery>& queries,
   std::atomic<size_t> next_arrival{0};
   const Clock::time_point start = Clock::now();
 
+  auto ns_between = [](Clock::time_point from, Clock::time_point to) {
+    return to <= from ? uint64_t{0}
+                      : static_cast<uint64_t>(
+                            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                to - from)
+                                .count());
+  };
+
+  // An open-loop request's latency runs from its due time, not from
+  // pickup, so a wait for a busy worker counts; a closed-loop request is
+  // due when it is picked up.
   auto run_one = [&](WorkerState* state, size_t worker, size_t request,
-                     size_t query_index) {
+                     size_t query_index,
+                     std::optional<Clock::time_point> open_due) {
     LatencyRecord record;
     record.worker = worker;
     record.request = request;
     record.query_index = query_index;
-    const Clock::time_point before = Clock::now();
-    record.start_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(before - start)
-            .count());
+    const Clock::time_point pickup = Clock::now();
+    const Clock::time_point due = open_due.value_or(pickup);
+    record.start_ns = ns_between(start, due);
+    record.late_ns = ns_between(due, pickup);
     Result<std::string> reply =
         state->target->Call(request_lines[query_index]);
-    record.duration_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             before)
-            .count());
+    record.duration_ns = ns_between(due, Clock::now());
     if (reply.ok()) {
       FillFromReply(*reply, &record);
     } else {
@@ -156,7 +166,8 @@ Result<RunResult> RunWorkload(const std::vector<WorkloadQuery>& queries,
         std::this_thread::sleep_for(
             std::chrono::nanoseconds(options.think_ns));
       }
-      run_one(state, w, r, QueryIndexFor(options.seed, w, r, queries.size()));
+      run_one(state, w, r, QueryIndexFor(options.seed, w, r, queries.size()),
+              std::nullopt);
     }
   };
 
@@ -165,9 +176,11 @@ Result<RunResult> RunWorkload(const std::vector<WorkloadQuery>& queries,
     for (;;) {
       size_t i = next_arrival.fetch_add(1, std::memory_order_relaxed);
       if (i >= arrivals.size()) break;
-      std::this_thread::sleep_until(
-          start + std::chrono::nanoseconds(arrivals[i]));
-      run_one(state, w, i, QueryIndexFor(options.seed, 0, i, queries.size()));
+      const Clock::time_point due =
+          start + std::chrono::nanoseconds(arrivals[i]);
+      std::this_thread::sleep_until(due);
+      run_one(state, w, i, QueryIndexFor(options.seed, 0, i, queries.size()),
+              due);
     }
   };
 

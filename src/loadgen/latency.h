@@ -19,8 +19,14 @@ struct LatencyRecord {
   size_t worker = 0;       ///< issuing worker.
   size_t request = 0;      ///< per-worker index (closed) / global (open).
   size_t query_index = 0;  ///< index into the workload's query pool.
-  uint64_t start_ns = 0;   ///< offset from run start.
+  /// Offset from run start of the moment the request was due: its
+  /// scheduled arrival in open loop, its pickup in closed loop.
+  uint64_t start_ns = 0;
+  /// Due time to reply, so in open loop the time a request waited for a
+  /// free worker counts (no coordinated omission).
   uint64_t duration_ns = 0;
+  /// Generator lateness: pickup minus due time (always 0 in closed loop).
+  uint64_t late_ns = 0;
   bool ok = false;         ///< the reply's "ok" field.
   std::string code;        ///< wire code when !ok ("resource_exhausted", ...).
   std::string report;      ///< reply report text (when capture_replies).

@@ -24,6 +24,18 @@ std::string HexFingerprint(uint64_t fp) {
   return buf;
 }
 
+serve::JsonValue StatsJson(const LatencyStats& stats) {
+  using serve::JsonValue;
+  JsonValue out = JsonValue::Object();
+  out.Set("count", JsonValue::Number(static_cast<double>(stats.count)));
+  out.Set("p50", JsonValue::Number(stats.p50_ms));
+  out.Set("p95", JsonValue::Number(stats.p95_ms));
+  out.Set("p99", JsonValue::Number(stats.p99_ms));
+  out.Set("mean", JsonValue::Number(stats.mean_ms));
+  out.Set("max", JsonValue::Number(stats.max_ms));
+  return out;
+}
+
 }  // namespace
 
 const std::vector<std::string>& DefaultCounterPrefixes() {
@@ -101,9 +113,13 @@ WorkloadSummary Summarize(const DriverOptions& options,
                     : 0.0;
   std::vector<double> ok_latencies_ms;
   std::vector<double> unwind_ms;
+  std::vector<double> late_ms;
   const double deadline_budget_ms = static_cast<double>(options.deadline_ms);
   for (const WorkerLog& log : result.logs) {
     for (const LatencyRecord& record : log.records) {
+      if (options.mode == LoadMode::kOpen) {
+        late_ms.push_back(static_cast<double>(record.late_ns) / 1e6);
+      }
       if (record.ok) {
         ok_latencies_ms.push_back(static_cast<double>(record.duration_ns) /
                                   1e6);
@@ -119,6 +135,7 @@ WorkloadSummary Summarize(const DriverOptions& options,
   }
   summary.latency = ComputeLatencyStats(std::move(ok_latencies_ms));
   summary.unwind = ComputeLatencyStats(std::move(unwind_ms));
+  summary.late = ComputeLatencyStats(std::move(late_ms));
   summary.request_fingerprint = result.request_fingerprint;
   summary.reply_fingerprint = result.reply_fingerprint;
   summary.counter_deltas = std::move(counter_deltas);
@@ -167,6 +184,15 @@ std::string SummaryToText(const WorkloadSummary& summary) {
                 summary.latency.p99_ms, summary.latency.mean_ms,
                 summary.latency.max_ms, summary.latency.count);
   text += buf;
+  if (summary.mode == "open") {
+    std::snprintf(buf, sizeof(buf),
+                  "generator lateness ms (pickup - due): p50=%.3f p95=%.3f "
+                  "p99=%.3f mean=%.3f max=%.3f n=%zu\n",
+                  summary.late.p50_ms, summary.late.p95_ms,
+                  summary.late.p99_ms, summary.late.mean_ms,
+                  summary.late.max_ms, summary.late.count);
+    text += buf;
+  }
   text += "fingerprints: requests=" + HexFingerprint(
               summary.request_fingerprint) +
           " replies=" + HexFingerprint(summary.reply_fingerprint) + "\n";
@@ -210,25 +236,12 @@ std::string SummaryToJson(const WorkloadSummary& summary) {
                JsonValue::Number(summary.deadline_hit_rate));
   workload.Set("wall_seconds", JsonValue::Number(summary.wall_seconds));
   workload.Set("qps", JsonValue::Number(summary.qps));
-  JsonValue latency = JsonValue::Object();
-  latency.Set("count",
-              JsonValue::Number(static_cast<double>(summary.latency.count)));
-  latency.Set("p50", JsonValue::Number(summary.latency.p50_ms));
-  latency.Set("p95", JsonValue::Number(summary.latency.p95_ms));
-  latency.Set("p99", JsonValue::Number(summary.latency.p99_ms));
-  latency.Set("mean", JsonValue::Number(summary.latency.mean_ms));
-  latency.Set("max", JsonValue::Number(summary.latency.max_ms));
-  workload.Set("latency_ms", std::move(latency));
+  workload.Set("latency_ms", StatsJson(summary.latency));
+  if (summary.mode == "open") {
+    workload.Set("late_ms", StatsJson(summary.late));
+  }
   if (summary.deadline_ms > 0) {
-    JsonValue unwind = JsonValue::Object();
-    unwind.Set("count",
-               JsonValue::Number(static_cast<double>(summary.unwind.count)));
-    unwind.Set("p50", JsonValue::Number(summary.unwind.p50_ms));
-    unwind.Set("p95", JsonValue::Number(summary.unwind.p95_ms));
-    unwind.Set("p99", JsonValue::Number(summary.unwind.p99_ms));
-    unwind.Set("mean", JsonValue::Number(summary.unwind.mean_ms));
-    unwind.Set("max", JsonValue::Number(summary.unwind.max_ms));
-    workload.Set("unwind_ms", std::move(unwind));
+    workload.Set("unwind_ms", StatsJson(summary.unwind));
   }
   workload.Set("request_fingerprint",
                JsonValue::Str(HexFingerprint(summary.request_fingerprint)));

@@ -60,8 +60,13 @@ struct WorkloadSummary {
   double qps = 0.0;  ///< attempted / wall_seconds.
   /// Over successful replies only — service latency, not shed latency
   /// (sheds return in microseconds by design and would drag every
-  /// percentile down).
+  /// percentile down). Open-loop latency runs from each request's due
+  /// time, so it includes any wait for a free worker.
   LatencyStats latency;
+  /// Open loop only: generator lateness over every request, i.e. how
+  /// long after its due time a worker picked it up. Large values mean
+  /// the run had too few workers for its rate.
+  LatencyStats late;
   uint64_t request_fingerprint = 0;
   uint64_t reply_fingerprint = 0;
   CounterMap counter_deltas;

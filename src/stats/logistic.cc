@@ -20,28 +20,24 @@ double Sigmoid(double z) {
 
 }  // namespace
 
-double LogisticModel::PredictProbability(
-    const std::vector<double>& features) const {
+double LogisticModel::PredictProbability(const double* features,
+                                         size_t arity) const {
   double z = coefficients_.empty() ? 0.0 : coefficients_[0];
-  size_t arity = std::min(features.size(), coefficients_.size() - 1);
+  arity = std::min(arity, coefficients_.size() - 1);
   for (size_t j = 0; j < arity; ++j) z += coefficients_[j + 1] * features[j];
   return Sigmoid(z);
 }
 
-Result<LogisticModel> FitLogistic(const std::vector<std::vector<double>>& x,
+Result<LogisticModel> FitLogistic(const std::vector<double>& x, size_t k,
                                   const std::vector<uint8_t>& y,
                                   const LogisticOptions& options) {
   const size_t n = y.size();
-  if (x.size() != n) return Status::InvalidArgument("x/y length mismatch");
+  if (x.size() != n * k) return Status::InvalidArgument("x/y length mismatch");
   if (n == 0) return Status::InvalidArgument("empty sample");
-  const size_t k = x[0].size();
   const size_t p = k + 1;
-  for (const auto& row : x) {
-    if (row.size() != k) return Status::InvalidArgument("ragged design matrix");
-  }
 
   auto feature = [&](size_t row, size_t j) -> double {
-    return j == 0 ? 1.0 : x[row][j - 1];
+    return j == 0 ? 1.0 : x[row * k + j - 1];
   };
 
   LogisticModel model;

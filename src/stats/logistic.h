@@ -25,15 +25,20 @@ class LogisticModel {
   const std::vector<double>& coefficients() const { return coefficients_; }
 
   /// Predicted probability for one feature vector (arity = p - 1).
-  double PredictProbability(const std::vector<double>& features) const;
+  double PredictProbability(const std::vector<double>& features) const {
+    return PredictProbability(features.data(), features.size());
+  }
+  /// The same for one row of a flat design: `arity` features at `features`.
+  double PredictProbability(const double* features, size_t arity) const;
 
   bool converged() const { return converged_; }
   size_t iterations() const { return iterations_; }
 
  private:
-  friend Result<LogisticModel> FitLogistic(
-      const std::vector<std::vector<double>>& x, const std::vector<uint8_t>& y,
-      const LogisticOptions& options);
+  friend Result<LogisticModel> FitLogistic(const std::vector<double>& x,
+                                           size_t k,
+                                           const std::vector<uint8_t>& y,
+                                           const LogisticOptions& options);
 
   std::vector<double> coefficients_;
   bool converged_ = false;
@@ -42,10 +47,11 @@ class LogisticModel {
 
 /// Fits logistic regression by iteratively reweighted least squares (Newton-
 /// Raphson), with an L2 ridge to keep separable problems well posed. `x` is
-/// row-major (no intercept column; one is added), `y` holds 0/1 labels.
-/// Used to estimate missingness propensities P(R_E = 1 | X) for IPW
-/// (Section 3.2 of the paper).
-Result<LogisticModel> FitLogistic(const std::vector<std::vector<double>>& x,
+/// a flat row-major design of `k` features per row — row r's features are
+/// x[r * k, r * k + k) — with no intercept column (one is added); `y` holds
+/// 0/1 labels. Used to estimate missingness propensities P(R_E = 1 | X)
+/// for IPW (Section 3.2 of the paper).
+Result<LogisticModel> FitLogistic(const std::vector<double>& x, size_t k,
                                   const std::vector<uint8_t>& y,
                                   const LogisticOptions& options = {});
 

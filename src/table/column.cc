@@ -459,79 +459,99 @@ void Column::AppendFrom(const Column& src) {
 namespace {
 
 // Fixed morsel for parallel Take: a constant (never a function of the
-// thread count) so the fragment boundaries — and with them every
-// concatenation — are a pure function of the row list.
+// thread count), though each chunk writes only its own disjoint output
+// range, so the result would not depend on the chunking anyway.
 constexpr size_t kTakeChunkRows = 4096;
 constexpr size_t kTakeParallelThreshold = 4096;
+
+// Gathers rows[lo, hi) into positions [lo, hi) of a presized output:
+// valid rows set their validity byte and `copy(i, row)` their payload;
+// null rows keep the zeroed byte and the default payload, exactly what
+// AppendNull writes. Returns the number of nulls seen.
+template <typename Copy>
+size_t GatherRange(const std::vector<size_t>& rows, size_t lo, size_t hi,
+                   const uint8_t* valid, uint8_t* out_valid, Copy copy) {
+  size_t nulls = 0;
+  for (size_t i = lo; i < hi; ++i) {
+    const size_t row = rows[i];
+    if (valid[row] == 0) {
+      ++nulls;
+      continue;
+    }
+    out_valid[i] = 1;
+    copy(i, row);
+  }
+  return nulls;
+}
 
 }  // namespace
 
 Column Column::Take(const std::vector<size_t>& rows) const {
-  // Serial gather of a subrange of the row list.
-  auto gather = [this](const std::vector<size_t>& all, size_t lo, size_t hi) {
-    Column out(type_);
-    out.valid_.reserve(hi - lo);
+  const size_t n = rows.size();
+  Column out(type_);
+  out.valid_.resize(n);
+  switch (type_) {
+    case DataType::kDouble:
+      out.doubles_.resize(n);
+      break;
+    case DataType::kInt64:
+      out.ints_.resize(n);
+      break;
+    case DataType::kString:
+      out.strings_.resize(n);
+      break;
+    case DataType::kBool:
+      out.bools_.resize(n);
+      break;
+    case DataType::kNull:
+      break;
+  }
+  auto gather = [&](size_t lo, size_t hi) -> size_t {
+    uint8_t* out_valid = out.valid_.data();
     switch (type_) {
       case DataType::kDouble:
-        out.doubles_.reserve(hi - lo);
-        break;
+        return GatherRange(rows, lo, hi, valid_ptr_, out_valid,
+                           [&](size_t i, size_t row) {
+                             out.doubles_[i] = double_ptr_[row];
+                           });
       case DataType::kInt64:
-        out.ints_.reserve(hi - lo);
-        break;
+        return GatherRange(rows, lo, hi, valid_ptr_, out_valid,
+                           [&](size_t i, size_t row) {
+                             out.ints_[i] = int_ptr_[row];
+                           });
       case DataType::kString:
-        out.strings_.reserve(hi - lo);
-        break;
+        return GatherRange(rows, lo, hi, valid_ptr_, out_valid,
+                           [&](size_t i, size_t row) {
+                             out.strings_[i] = StringAt(row);
+                           });
       case DataType::kBool:
-        out.bools_.reserve(hi - lo);
-        break;
+        return GatherRange(rows, lo, hi, valid_ptr_, out_valid,
+                           [&](size_t i, size_t row) {
+                             out.bools_[i] = bool_ptr_[row] != 0 ? 1 : 0;
+                           });
       case DataType::kNull:
-        break;
+        return GatherRange(rows, lo, hi, valid_ptr_, out_valid,
+                           [](size_t, size_t) {});
     }
-    for (size_t i = lo; i < hi; ++i) {
-      size_t row = all[i];
-      MESA_DCHECK(row < size());
-      if (IsNull(row)) {
-        out.AppendNull();
-        continue;
-      }
-      switch (type_) {
-        case DataType::kDouble:
-          out.AppendDouble(double_ptr_[row]);
-          break;
-        case DataType::kInt64:
-          out.AppendInt(int_ptr_[row]);
-          break;
-        case DataType::kString:
-          out.AppendString(StringAt(row));
-          break;
-        case DataType::kBool:
-          out.AppendBool(bool_ptr_[row] != 0);
-          break;
-        case DataType::kNull:
-          break;
-      }
-    }
-    return out;
+    return 0;
   };
 
-  if (rows.size() < kTakeParallelThreshold || !DataPlaneParallel()) {
-    return gather(rows, 0, rows.size());
+  if (n < kTakeParallelThreshold || !DataPlaneParallel()) {
+    out.null_count_ = gather(0, n);
+  } else {
+    // Morsel-parallel gather: fixed chunks, each writing its own disjoint
+    // range of the presized output.
+    const size_t num_chunks = (n + kTakeChunkRows - 1) / kTakeChunkRows;
+    std::vector<size_t> nulls(num_chunks, 0);
+    ParallelFor(0, num_chunks, [&](size_t c) {
+      CancelCheckpoint();
+      const size_t lo = c * kTakeChunkRows;
+      nulls[c] = gather(lo, std::min(n, lo + kTakeChunkRows));
+    });
+    for (size_t count : nulls) out.null_count_ += count;
   }
-  // Morsel-parallel gather: fixed chunks, concatenated in chunk order.
-  // AppendFrom copies each fragment's payload/validity runs verbatim, so
-  // the result is byte-identical to the serial gather above.
-  const size_t num_chunks = (rows.size() + kTakeChunkRows - 1) / kTakeChunkRows;
-  std::vector<Column> fragments;
-  fragments.reserve(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) fragments.emplace_back(type_);
-  ParallelFor(0, num_chunks, [&](size_t c) {
-    CancelCheckpoint();
-    const size_t lo = c * kTakeChunkRows;
-    const size_t hi = std::min(rows.size(), lo + kTakeChunkRows);
-    fragments[c] = gather(rows, lo, hi);
-  });
-  Column out(type_);
-  for (const Column& fragment : fragments) out.AppendFrom(fragment);
+  out.size_ = n;
+  out.SyncPointers();
   return out;
 }
 

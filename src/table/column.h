@@ -126,12 +126,13 @@ class Column {
   /// insert when `src` is owned — so chaining AppendFrom over fragments
   /// built by per-row appends is byte-identical to issuing those appends
   /// sequentially on one column. This is the concatenation primitive the
-  /// order-stable parallel gathers (join assembly, Take) are built on.
+  /// order-stable parallel join assembly is built on.
   void AppendFrom(const Column& src);
 
-  /// Gathers the given rows into a new (owned) column. Large gathers run
-  /// morsel-parallel over fixed row chunks, concatenated in chunk order —
-  /// byte-identical to the serial gather at any thread count.
+  /// Gathers the given rows into a new (owned) column, presized once.
+  /// Large gathers run morsel-parallel over fixed row chunks that each
+  /// fill a disjoint output range — byte-identical to the serial gather
+  /// (and to per-row appends) at any thread count.
   Column Take(const std::vector<size_t>& rows) const;
 
   /// Stable 64-bit hash of the column's content: type, length, validity

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/registry.h"
@@ -340,6 +342,60 @@ TEST(DriverTest, OpenLoopIssuesEveryArrival) {
   EXPECT_EQ(first->ok, 20u);
   EXPECT_EQ(first->request_fingerprint, second->request_fingerprint);
   EXPECT_EQ(first->reply_fingerprint, second->reply_fingerprint);
+}
+
+// Open loop must not hide queueing (coordinated omission): with one
+// worker, a reply slower than the gap to the next arrival delays the
+// next pickup, and that wait must show up in the next request's latency
+// and in its generator lateness.
+class SlowFirstReplyTarget : public RequestTarget {
+ public:
+  Result<std::string> Call(const std::string&) override {
+    if (calls_++ == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    return std::string("{\"ok\":true,\"report\":\"r\"}");
+  }
+
+ private:
+  size_t calls_ = 0;
+};
+
+TEST(DriverTest, OpenLoopLatencyCountsTheWaitBehindASlowReply) {
+  DriverOptions options;
+  options.mode = LoadMode::kOpen;
+  options.seed = 5;
+  options.workers = 1;
+  options.target_qps = 10000.0;  // arrivals ~0.1 ms apart.
+  options.total_requests = 2;
+  const std::vector<uint64_t> arrivals =
+      OpenLoopArrivalsNs({options.seed, options.target_qps, 2});
+  ASSERT_EQ(arrivals.size(), 2u);
+  const uint64_t gap_ns = arrivals[1] - arrivals[0];
+  ASSERT_LT(gap_ns, 50'000'000u);
+  TargetFactory factory = [](size_t) {
+    return Result<std::unique_ptr<RequestTarget>>(
+        std::unique_ptr<RequestTarget>(new SlowFirstReplyTarget()));
+  };
+  auto result = RunWorkload(ScriptedQueries(2), factory, options);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->logs.size(), 1u);
+  const std::vector<LatencyRecord>& records = result->logs[0].records;
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_GE(records[0].duration_ns, 100'000'000u);
+  // The second request was due ~gap after the first but could only be
+  // picked up once the 100 ms reply arrived.
+  const uint64_t waited_ns = 100'000'000u - gap_ns;
+  EXPECT_EQ(records[1].start_ns, arrivals[1]);
+  EXPECT_GE(records[1].late_ns, waited_ns);
+  EXPECT_GE(records[1].duration_ns, waited_ns);
+  EXPECT_GE(records[1].duration_ns, records[1].late_ns);
+
+  WorkloadSummary summary = Summarize(options, *result, 2);
+  EXPECT_EQ(summary.late.count, 2u);
+  EXPECT_GE(summary.late.max_ms, static_cast<double>(waited_ns) / 1e6);
+  EXPECT_NE(SummaryToText(summary).find("generator lateness"),
+            std::string::npos);
 }
 
 TEST(DriverTest, TargetFactoryFailureFailsTheRunUpFront) {

@@ -283,15 +283,15 @@ TEST(Ols, CholeskyRejectsIndefinite) {
 
 TEST(Logistic, RecoversSeparation) {
   Rng rng(17);
-  std::vector<std::vector<double>> x;
+  std::vector<double> x;  // one feature per row
   std::vector<uint8_t> y;
   for (int i = 0; i < 2000; ++i) {
     double a = rng.NextGaussian();
     double p = 1.0 / (1.0 + std::exp(-(0.5 + 2.0 * a)));
-    x.push_back({a});
+    x.push_back(a);
     y.push_back(rng.NextBernoulli(p) ? 1 : 0);
   }
-  auto model = FitLogistic(x, y);
+  auto model = FitLogistic(x, 1, y);
   ASSERT_TRUE(model.ok());
   EXPECT_TRUE(model->converged());
   EXPECT_NEAR(model->coefficients()[0], 0.5, 0.2);
@@ -300,15 +300,15 @@ TEST(Logistic, RecoversSeparation) {
 
 TEST(Logistic, PredictedProbabilitiesCalibrated) {
   Rng rng(19);
-  std::vector<std::vector<double>> x;
+  std::vector<double> x;  // one feature per row
   std::vector<uint8_t> y;
   for (int i = 0; i < 4000; ++i) {
     double a = rng.NextUniform(-2, 2);
     double p = 1.0 / (1.0 + std::exp(-a));
-    x.push_back({a});
+    x.push_back(a);
     y.push_back(rng.NextBernoulli(p) ? 1 : 0);
   }
-  auto model = FitLogistic(x, y);
+  auto model = FitLogistic(x, 1, y);
   ASSERT_TRUE(model.ok());
   EXPECT_NEAR(model->PredictProbability({0.0}), 0.5, 0.05);
   EXPECT_GT(model->PredictProbability({2.0}), 0.8);
@@ -317,13 +317,13 @@ TEST(Logistic, PredictedProbabilitiesCalibrated) {
 
 TEST(Logistic, ImbalancedLabels) {
   Rng rng(23);
-  std::vector<std::vector<double>> x;
+  std::vector<double> x;  // one feature per row
   std::vector<uint8_t> y;
   for (int i = 0; i < 3000; ++i) {
-    x.push_back({rng.NextGaussian()});
+    x.push_back(rng.NextGaussian());
     y.push_back(rng.NextBernoulli(0.03) ? 1 : 0);
   }
-  auto model = FitLogistic(x, y);
+  auto model = FitLogistic(x, 1, y);
   ASSERT_TRUE(model.ok());
   // Intercept near log(0.03/0.97) ~ -3.48; slope near 0.
   EXPECT_NEAR(model->coefficients()[0], -3.48, 0.4);
@@ -332,21 +332,21 @@ TEST(Logistic, ImbalancedLabels) {
 
 TEST(Logistic, SeparableDataStaysFinite) {
   // Perfectly separable: the ridge must keep coefficients bounded.
-  std::vector<std::vector<double>> x;
+  std::vector<double> x;  // one feature per row
   std::vector<uint8_t> y;
   for (int i = 0; i < 100; ++i) {
     double a = i < 50 ? -1.0 - i * 0.01 : 1.0 + i * 0.01;
-    x.push_back({a});
+    x.push_back(a);
     y.push_back(i < 50 ? 0 : 1);
   }
-  auto model = FitLogistic(x, y);
+  auto model = FitLogistic(x, 1, y);
   ASSERT_TRUE(model.ok());
   EXPECT_TRUE(std::isfinite(model->coefficients()[1]));
 }
 
 TEST(Logistic, Errors) {
-  EXPECT_FALSE(FitLogistic({}, {}).ok());
-  EXPECT_FALSE(FitLogistic({{1.0}}, {1, 0}).ok());
+  EXPECT_FALSE(FitLogistic({}, 0, {}).ok());
+  EXPECT_FALSE(FitLogistic({1.0}, 1, {1, 0}).ok());
 }
 
 }  // namespace
