@@ -1,12 +1,8 @@
 #include "info/cmi_kernel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
@@ -16,68 +12,6 @@
 #include "info/key_packing.h"
 
 namespace mesa {
-
-bool ParseCmiKernel(const std::string& name, CmiKernel* out) {
-  if (name == "auto") {
-    *out = CmiKernel::kAuto;
-  } else if (name == "dense") {
-    *out = CmiKernel::kDense;
-  } else if (name == "packed") {
-    *out = CmiKernel::kPacked;
-  } else if (name == "hash") {
-    *out = CmiKernel::kHash;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* CmiKernelName(CmiKernel kernel) {
-  switch (kernel) {
-    case CmiKernel::kAuto:
-      return "auto";
-    case CmiKernel::kDense:
-      return "dense";
-    case CmiKernel::kPacked:
-      return "packed";
-    case CmiKernel::kHash:
-      return "hash";
-  }
-  return "auto";
-}
-
-namespace {
-
-// -1 = follow the MESA_CMI_KERNEL environment variable, else a forced
-// CmiKernel value (set by mesa_cli --cmi-kernel or tests).
-std::atomic<int> g_kernel_override{-1};
-
-CmiKernel EnvKernelMode() {
-  static const CmiKernel mode = [] {
-    CmiKernel m = CmiKernel::kAuto;
-    const char* env = std::getenv("MESA_CMI_KERNEL");
-    if (env != nullptr && !ParseCmiKernel(env, &m)) {
-      MESA_LOG(Warning) << "MESA_CMI_KERNEL=" << env
-                        << " is not auto|dense|packed|hash; using auto";
-    }
-    return m;
-  }();
-  return mode;
-}
-
-}  // namespace
-
-CmiKernel CmiKernelMode() {
-  int forced = g_kernel_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<CmiKernel>(forced);
-  return EnvKernelMode();
-}
-
-void SetCmiKernelMode(CmiKernel kernel) {
-  g_kernel_override.store(static_cast<int>(kernel),
-                          std::memory_order_relaxed);
-}
-
 namespace info_internal {
 
 namespace {
@@ -202,23 +136,6 @@ void PackRows(size_t n, const MakeFn& make_row, std::vector<Row>* rows) {
       if (make_row(i, &scratch)) (*rows)[at++] = scratch;
     }
   });
-}
-
-double EntropyOfMap(const std::unordered_map<uint64_t, double>& counts,
-                    double total, const EntropyOptions& options) {
-  if (total <= 0.0) return 0.0;
-  double h = 0.0;
-  for (const auto& [key, c] : counts) {
-    (void)key;
-    if (c <= 0.0) continue;
-    double p = c / total;
-    h -= p * std::log2(p);
-  }
-  if (options.miller_madow && counts.size() > 1) {
-    h += static_cast<double>(counts.size() - 1) /
-         (2.0 * total * std::log(2.0));
-  }
-  return h;
 }
 
 }  // namespace
@@ -455,43 +372,6 @@ double CmiFromEntries(const std::vector<CubeEntry>& entries, double total,
     if (s_yz > 1) h_yz += (s_yz - 1) * mm;
     if (s_z > 1) h_z += (s_z - 1) * mm;
   }
-  return std::max(0.0, h_xz + h_yz - h_xyz - h_z);
-}
-
-double HashCmi(const CodedVariable& x, const CodedVariable& y,
-               const CodedVariable& z, const std::vector<double>* weights,
-               const EntropyOptions& options, int by, int bz) {
-  std::unordered_map<uint64_t, double> xyz;
-  xyz.reserve(256);
-  double total = 0.0;
-  const size_t n = x.codes.size();
-  for (size_t i = 0; i < n; ++i) {
-    int32_t cx = x.codes[i], cy = y.codes[i], cz = z.codes[i];
-    if (cx < 0 || cy < 0 || cz < 0) continue;
-    double w = weights != nullptr ? (*weights)[i] : 1.0;
-    if (w <= 0.0) continue;
-    uint64_t key = PackKey3(static_cast<uint32_t>(cx),
-                            static_cast<uint32_t>(cy),
-                            static_cast<uint32_t>(cz), by, bz);
-    xyz[key] += w;
-    total += w;
-  }
-  if (total <= 0.0) return 0.0;
-
-  std::unordered_map<uint64_t, double> xz, yz, zonly;
-  xz.reserve(xyz.size());
-  yz.reserve(xyz.size());
-  for (const auto& [key, c] : xyz) {
-    uint64_t kx, ky, kz;
-    UnpackKey3(key, by, bz, &kx, &ky, &kz);
-    xz[(kx << bz) | kz] += c;
-    yz[(ky << bz) | kz] += c;
-    zonly[kz] += c;
-  }
-  double h_xyz = EntropyOfMap(xyz, total, options);
-  double h_xz = EntropyOfMap(xz, total, options);
-  double h_yz = EntropyOfMap(yz, total, options);
-  double h_z = EntropyOfMap(zonly, total, options);
   return std::max(0.0, h_xz + h_yz - h_xyz - h_z);
 }
 

@@ -18,26 +18,18 @@
 ///
 /// Kernels:
 ///   - dense:  row scan into a flat per-thread arena, cells extracted
-///             ascending. O(2^bits) memory — only below ~20 key bits.
+///             ascending. O(2^bits) memory — only up to 20 key bits.
 ///   - packed: pack rows into 64-bit keys, morsel-parallel *stable*
 ///             radix sort (common/parallel_sort.h), run-length count
 ///             runs into cells. O(rows) memory — up to 64 key bits.
 ///             Bit-identical to dense where both apply.
-///   - hash:   the legacy single-pass hash-map kernel. Summation order
-///             follows the map's iteration order, so it agrees with the
-///             canonical kernels only to ulp-level; kept as an escape
-///             hatch and A/B baseline. Never shares cubes.
 ///
-/// Selection: automatic by key width, overridable process-wide with the
-/// MESA_CMI_KERNEL environment variable or `mesa_cli --cmi-kernel`
-/// (auto|dense|packed|hash). A forced kernel that cannot serve a given
-/// width degrades to the nearest one that can (dense above 20 bits runs
-/// packed; anything above 64 bits takes the CombinePair fallback in
-/// mutual_information.cc). Which kernel actually ran is counted in the
-/// info/kernel_{dense,packed,hash} metrics (docs/observability.md).
+/// Selection is a pure function of the key width: dense up to 20 bits,
+/// packed up to 64, and the CombinePair chain-rule fallback in
+/// mutual_information.cc beyond. Which kernel ran is counted in the
+/// info/kernel_{dense,packed,fallback} metrics (docs/observability.md).
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "info/contingency.h"
@@ -45,35 +37,11 @@
 #include "info/info_cache.h"
 
 namespace mesa {
-
-/// Process-wide kernel override. kAuto picks by key width.
-enum class CmiKernel {
-  kAuto,
-  kDense,
-  kPacked,
-  kHash,
-};
-
-/// Parses "auto" | "dense" | "packed" | "hash" (case-sensitive, the
-/// spelling MESA_CMI_KERNEL and --cmi-kernel accept). Returns false and
-/// leaves *out untouched on anything else.
-bool ParseCmiKernel(const std::string& name, CmiKernel* out);
-
-/// The mode's canonical spelling (for --help and error messages).
-const char* CmiKernelName(CmiKernel kernel);
-
-/// Current selection mode: the last SetCmiKernelMode() value, else the
-/// MESA_CMI_KERNEL environment variable (parsed once; unset or
-/// unparseable means kAuto).
-CmiKernel CmiKernelMode();
-void SetCmiKernelMode(CmiKernel kernel);
-
 namespace info_internal {
 
 /// Key-width ceiling of the dense kernel: above this the flat arena
-/// (2^bits cells) stops paying for itself and auto selection moves to
-/// the packed kernel. Forcing `dense` above it also runs packed (the
-/// two are bit-identical, so the clamp is invisible in the results).
+/// (2^bits cells) stops paying for itself and selection moves to the
+/// packed kernel.
 constexpr int kDenseCmiBits = 20;
 
 /// Builds the canonical sparse cube by dense counting: one row scan into
@@ -115,13 +83,6 @@ double SumEntriesAscending(const std::vector<info_cache::CubeEntry>& entries);
 double CmiFromEntries(const std::vector<info_cache::CubeEntry>& entries,
                       double total, const EntropyOptions& options, int bx,
                       int by, int bz);
-
-/// The legacy hash-map kernel: single pass, O(rows), up to 64 key bits.
-/// Summation order is the hash map's iteration order — ulp-level
-/// differences from the canonical kernels are expected and allowed.
-double HashCmi(const CodedVariable& x, const CodedVariable& y,
-               const CodedVariable& z, const std::vector<double>* weights,
-               const EntropyOptions& options, int by, int bz);
 
 }  // namespace info_internal
 }  // namespace mesa

@@ -127,6 +127,31 @@ uint64_t ScalarKey(uint64_t tag, const uint64_t* fps, size_t num_fps,
 bool LookupScalar(uint64_t key, double* value);
 void InsertScalar(uint64_t key, double value);
 
+/// Fingerprint of an optional per-row weight vector (0 for unweighted).
+uint64_t WeightsFingerprint(const std::vector<double>* weights);
+
+/// The one scalar-memo path of the estimators: returns the memoized
+/// value of the expression (tag, operand fingerprints in order, weights,
+/// miller_madow), else `compute(fps, weights_fp)`, memoized. `compute`
+/// gets the fingerprints it was keyed on so it can key further cache
+/// layers without rehashing. With the cache disabled this is exactly
+/// `compute(nullptr, 0)`: no fingerprinting, no lookups, no inserts.
+template <size_t N, typename Compute>
+double Memoized(uint64_t tag, const CodedVariable* const (&operands)[N],
+                const std::vector<double>* weights, bool miller_madow,
+                const Compute& compute) {
+  if (!Enabled()) return compute(nullptr, uint64_t{0});
+  uint64_t fps[N];
+  for (size_t i = 0; i < N; ++i) fps[i] = operands[i]->fingerprint();
+  const uint64_t weights_fp = WeightsFingerprint(weights);
+  const uint64_t key = ScalarKey(tag, fps, N, weights_fp, miller_madow);
+  double value = 0.0;
+  if (LookupScalar(key, &value)) return value;
+  value = compute(fps, weights_fp);
+  InsertScalar(key, value);
+  return value;
+}
+
 /// Memo key for a permutation CI test's p-value. The p-value is a pure
 /// function of the three operand contents, the base seed, and the
 /// permutation count (every permutation derives its Rng from
@@ -141,9 +166,6 @@ uint64_t CubeKey(uint64_t fp_x, uint64_t fp_y, uint64_t fp_z,
                  uint64_t weights_fp);
 std::shared_ptr<const JointCube> LookupCube(uint64_t key);
 void InsertCube(uint64_t key, std::shared_ptr<const JointCube> cube);
-
-/// Fingerprint of an optional per-row weight vector (0 for unweighted).
-uint64_t WeightsFingerprint(const std::vector<double>* weights);
 
 }  // namespace info_cache
 }  // namespace mesa

@@ -23,7 +23,6 @@ using info_internal::BitsFor;
 using info_internal::BuildDenseEntries;
 using info_internal::BuildPackedEntries;
 using info_internal::CmiFromEntries;
-using info_internal::HashCmi;
 using info_internal::kDenseCmiBits;
 using info_internal::PackKey3;
 using info_internal::SumEntriesAscending;
@@ -33,50 +32,25 @@ using info_internal::UnpackKey3;
 // MI through a cube kernel memoizes under the CMI tag (it *is* a CMI
 // with a constant conditioning axis), so the same expression reached via
 // either entry point shares one memo slot. The dense and packed kernels
-// share kTagCmi — they are bit-identical by the canonical-cube contract —
-// while the hash kernel's ulp-different results live under their own
-// tag, so flipping MESA_CMI_KERNEL mid-process can never replay a stale
-// value from the other arithmetic.
-constexpr uint64_t kTagCmi = 0x434D49;       // "CMI"
-constexpr uint64_t kTagCmiHash = 0x434D4948; // "CMIH"
-constexpr uint64_t kTagMi = 0x4D49;          // "MI"
+// share kTagCmi — they are bit-identical by the canonical-cube contract.
+constexpr uint64_t kTagCmi = 0x434D49;  // "CMI"
+constexpr uint64_t kTagMi = 0x4D49;     // "MI"
 
-// What actually runs for one evaluation, after clamping the requested
-// mode to the widths each kernel can serve.
-enum class Resolved { kDense, kPacked, kHash, kFallback };
+enum class Kernel { kDense, kPacked, kFallback };
 
-Resolved ResolveKernel(int key_bits) {
-  if (key_bits > 64) return Resolved::kFallback;
-  switch (CmiKernelMode()) {
-    case CmiKernel::kPacked:
-      return Resolved::kPacked;
-    case CmiKernel::kHash:
-      return Resolved::kHash;
-    case CmiKernel::kAuto:
-    case CmiKernel::kDense:
-      break;
+// Picks the kernel for a packed key width and bumps its selection
+// counter (docs/observability.md).
+Kernel SelectKernel(int key_bits) {
+  if (key_bits <= kDenseCmiBits) {
+    MESA_COUNT("info/kernel_dense");
+    return Kernel::kDense;
   }
-  // Auto picks by width; a forced `dense` above the arena limit clamps
-  // to packed, which is bit-identical where both could run.
-  return key_bits <= kDenseCmiBits ? Resolved::kDense : Resolved::kPacked;
-}
-
-// Bumps the per-kernel selection counter (docs/observability.md).
-void CountKernel(Resolved kernel) {
-  switch (kernel) {
-    case Resolved::kDense:
-      MESA_COUNT("info/kernel_dense");
-      break;
-    case Resolved::kPacked:
-      MESA_COUNT("info/kernel_packed");
-      break;
-    case Resolved::kHash:
-      MESA_COUNT("info/kernel_hash");
-      break;
-    case Resolved::kFallback:
-      MESA_COUNT("info/kernel_fallback");
-      break;
+  if (key_bits <= 64) {
+    MESA_COUNT("info/kernel_packed");
+    return Kernel::kPacked;
   }
+  MESA_COUNT("info/kernel_fallback");
+  return Kernel::kFallback;
 }
 
 // Matches our (x, y, z) axis identities against a cached cube's axes.
@@ -131,69 +105,43 @@ double CachedCubeCmi(const CodedVariable& x, const CodedVariable& y,
                      const std::vector<double>* weights,
                      const EntropyOptions& options, int bx, int by, int bz,
                      bool dense_build) {
-  thread_local std::vector<CubeEntry> entries;
-  auto build = [&] {
-    if (dense_build) {
-      BuildDenseEntries(x, y, z, weights, bx, by, bz, &entries);
-    } else {
-      BuildPackedEntries(x, y, z, weights, bx, by, bz, &entries);
-    }
-  };
-  if (!info_cache::Enabled()) {
-    build();
-    return CmiFromEntries(entries, SumEntriesAscending(entries), options, bx,
-                          by, bz);
-  }
-  const uint64_t fps[3] = {x.fingerprint(), y.fingerprint(), z.fingerprint()};
-  const uint64_t wfp = info_cache::WeightsFingerprint(weights);
-  const uint64_t skey =
-      info_cache::ScalarKey(kTagCmi, fps, 3, wfp, options.miller_madow);
-  double memo = 0.0;
-  if (info_cache::LookupScalar(skey, &memo)) return memo;
-
-  const int bits[3] = {bx, by, bz};
-  const uint64_t ckey = info_cache::CubeKey(fps[0], fps[1], fps[2], wfp);
-  std::shared_ptr<const JointCube> cube = info_cache::LookupCube(ckey);
-  int perm[3];
-  if (cube != nullptr && MatchAxes(*cube, fps, bits, perm)) {
-    RepackEntries(*cube, perm, by, bz, &entries);
-  } else {
-    build();
-    if (cube == nullptr) {
-      auto fresh = std::make_shared<JointCube>();
-      fresh->axes[0] = {fps[0], bx};
-      fresh->axes[1] = {fps[1], by};
-      fresh->axes[2] = {fps[2], bz};
-      fresh->entries = entries;
-      fresh->total = SumEntriesAscending(entries);
-      info_cache::InsertCube(ckey, std::move(fresh));
-    }
-  }
-  double r = CmiFromEntries(entries, SumEntriesAscending(entries), options,
-                            bx, by, bz);
-  info_cache::InsertScalar(skey, r);
-  return r;
-}
-
-// The hash escape kernel behind its own (salted) memo tag. No cube
-// sharing: its summation order is not reproducible from a cube.
-double CachedHashCmi(const CodedVariable& x, const CodedVariable& y,
-                     const CodedVariable& z,
-                     const std::vector<double>* weights,
-                     const EntropyOptions& options, int by, int bz) {
-  uint64_t skey = 0;
-  if (info_cache::Enabled()) {
-    const uint64_t fps[3] = {x.fingerprint(), y.fingerprint(),
-                             z.fingerprint()};
-    skey = info_cache::ScalarKey(kTagCmiHash, fps, 3,
-                                 info_cache::WeightsFingerprint(weights),
-                                 options.miller_madow);
-    double memo = 0.0;
-    if (info_cache::LookupScalar(skey, &memo)) return memo;
-  }
-  double r = HashCmi(x, y, z, weights, options, by, bz);
-  if (info_cache::Enabled()) info_cache::InsertScalar(skey, r);
-  return r;
+  return info_cache::Memoized(
+      kTagCmi, {&x, &y, &z}, weights, options.miller_madow,
+      [&](const uint64_t* fps, uint64_t wfp) {
+        thread_local std::vector<CubeEntry> entries;
+        auto build = [&] {
+          if (dense_build) {
+            BuildDenseEntries(x, y, z, weights, bx, by, bz, &entries);
+          } else {
+            BuildPackedEntries(x, y, z, weights, bx, by, bz, &entries);
+          }
+        };
+        if (fps == nullptr) {
+          build();
+        } else {
+          const int bits[3] = {bx, by, bz};
+          const uint64_t ckey =
+              info_cache::CubeKey(fps[0], fps[1], fps[2], wfp);
+          std::shared_ptr<const JointCube> cube = info_cache::LookupCube(ckey);
+          int perm[3];
+          if (cube != nullptr && MatchAxes(*cube, fps, bits, perm)) {
+            RepackEntries(*cube, perm, by, bz, &entries);
+          } else {
+            build();
+            if (cube == nullptr) {
+              auto fresh = std::make_shared<JointCube>();
+              fresh->axes[0] = {fps[0], bx};
+              fresh->axes[1] = {fps[1], by};
+              fresh->axes[2] = {fps[2], bz};
+              fresh->entries = entries;
+              fresh->total = SumEntriesAscending(entries);
+              info_cache::InsertCube(ckey, std::move(fresh));
+            }
+          }
+        }
+        return CmiFromEntries(entries, SumEntriesAscending(entries), options,
+                              bx, by, bz);
+      });
 }
 
 // Masks variable `v` to the rows present in `support` (code >= 0), so all
@@ -235,35 +183,20 @@ double MutualInformation(const CodedVariable& x, const CodedVariable& y,
   // kernel arrived.
   int bx = BitsFor(std::max<int32_t>(1, x.cardinality));
   int by = BitsFor(std::max<int32_t>(1, y.cardinality));
-  const Resolved kernel = ResolveKernel(bx + by + 1);
-  CountKernel(kernel);
-  switch (kernel) {
-    case Resolved::kDense:
-    case Resolved::kPacked:
-      return CachedCubeCmi(x, y, TrivialFor(x.codes.size()), weights, options,
-                           bx, by, 1, kernel == Resolved::kDense);
-    case Resolved::kHash:
-      return CachedHashCmi(x, y, TrivialFor(x.codes.size()), weights, options,
-                           by, 1);
-    case Resolved::kFallback:
-      break;
+  const Kernel kernel = SelectKernel(bx + by + 1);
+  if (kernel != Kernel::kFallback) {
+    return CachedCubeCmi(x, y, TrivialFor(x.codes.size()), weights, options,
+                         bx, by, 1, kernel == Kernel::kDense);
   }
-  uint64_t skey = 0;
-  if (info_cache::Enabled()) {
-    const uint64_t fps[2] = {x.fingerprint(), y.fingerprint()};
-    skey = info_cache::ScalarKey(kTagMi, fps, 2,
-                                 info_cache::WeightsFingerprint(weights),
-                                 options.miller_madow);
-    double memo = 0.0;
-    if (info_cache::LookupScalar(skey, &memo)) return memo;
-  }
-  CodedVariable xy = CombinePair(x, y);
-  double h_x = Entropy(MaskTo(x, xy), weights, options);
-  double h_y = Entropy(MaskTo(y, xy), weights, options);
-  double h_xy = Entropy(xy, weights, options);
-  double r = std::max(0.0, h_x + h_y - h_xy);
-  if (info_cache::Enabled()) info_cache::InsertScalar(skey, r);
-  return r;
+  return info_cache::Memoized(
+      kTagMi, {&x, &y}, weights, options.miller_madow,
+      [&](const uint64_t*, uint64_t) {
+        CodedVariable xy = CombinePair(x, y);
+        double h_x = Entropy(MaskTo(x, xy), weights, options);
+        double h_y = Entropy(MaskTo(y, xy), weights, options);
+        double h_xy = Entropy(xy, weights, options);
+        return std::max(0.0, h_x + h_y - h_xy);
+      });
 }
 
 double ConditionalMutualInformation(const CodedVariable& x,
@@ -278,40 +211,25 @@ double ConditionalMutualInformation(const CodedVariable& x,
   int bx = BitsFor(std::max<int32_t>(1, x.cardinality));
   int by = BitsFor(std::max<int32_t>(1, y.cardinality));
   int bz = BitsFor(std::max<int32_t>(1, z.cardinality));
-  const Resolved kernel = ResolveKernel(bx + by + bz);
-  CountKernel(kernel);
-  switch (kernel) {
-    case Resolved::kDense:
-    case Resolved::kPacked:
-      return CachedCubeCmi(x, y, z, weights, options, bx, by, bz,
-                           kernel == Resolved::kDense);
-    case Resolved::kHash:
-      return CachedHashCmi(x, y, z, weights, options, by, bz);
-    case Resolved::kFallback:
-      break;
+  const Kernel kernel = SelectKernel(bx + by + bz);
+  if (kernel != Kernel::kFallback) {
+    return CachedCubeCmi(x, y, z, weights, options, bx, by, bz,
+                         kernel == Kernel::kDense);
   }
   // Key too wide for any packed kernel (> 64 bits): derive from the
   // composite-entropy identity.
-  uint64_t skey = 0;
-  if (info_cache::Enabled()) {
-    const uint64_t fps[3] = {x.fingerprint(), y.fingerprint(),
-                             z.fingerprint()};
-    skey = info_cache::ScalarKey(kTagCmi, fps, 3,
-                                 info_cache::WeightsFingerprint(weights),
-                                 options.miller_madow);
-    double memo = 0.0;
-    if (info_cache::LookupScalar(skey, &memo)) return memo;
-  }
-  CodedVariable xz = CombinePair(x, z);
-  CodedVariable yz = CombinePair(y, z);
-  CodedVariable xyz = CombinePair(xz, y);
-  double h_xz = Entropy(MaskTo(xz, xyz), weights, options);
-  double h_yz = Entropy(MaskTo(yz, xyz), weights, options);
-  double h_xyz = Entropy(xyz, weights, options);
-  double h_z = Entropy(MaskTo(z, xyz), weights, options);
-  double r = std::max(0.0, h_xz + h_yz - h_xyz - h_z);
-  if (info_cache::Enabled()) info_cache::InsertScalar(skey, r);
-  return r;
+  return info_cache::Memoized(
+      kTagCmi, {&x, &y, &z}, weights, options.miller_madow,
+      [&](const uint64_t*, uint64_t) {
+        CodedVariable xz = CombinePair(x, z);
+        CodedVariable yz = CombinePair(y, z);
+        CodedVariable xyz = CombinePair(xz, y);
+        double h_xz = Entropy(MaskTo(xz, xyz), weights, options);
+        double h_yz = Entropy(MaskTo(yz, xyz), weights, options);
+        double h_xyz = Entropy(xyz, weights, options);
+        double h_z = Entropy(MaskTo(z, xyz), weights, options);
+        return std::max(0.0, h_xz + h_yz - h_xyz - h_z);
+      });
 }
 
 double InteractionInformation(const CodedVariable& x, const CodedVariable& y,

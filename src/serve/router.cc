@@ -9,10 +9,8 @@
 #include "common/metrics.h"
 #include "common/retry.h"
 #include "core/report_format.h"
-#include "kg/serialization.h"
 #include "query/sql_parser.h"
-#include "snapshot/reader.h"
-#include "table/csv.h"
+#include "snapshot/dataset_loader.h"
 
 namespace mesa {
 namespace serve {
@@ -145,54 +143,26 @@ Status Router::AddDataset(const DatasetSpec& spec) {
     return Status::AlreadyExists("dataset '" + spec.name +
                                  "' already resident");
   }
-  if (spec.csv_path.empty() == spec.snapshot_path.empty()) {
-    return Status::InvalidArgument(
-        "dataset '" + spec.name +
-        "' needs exactly one of csv_path / snapshot_path");
+  Result<LoadedDataset> loaded = LoadDataset(
+      {spec.csv_path, spec.snapshot_path, spec.kg_path,
+       spec.extraction_columns});
+  if (!loaded.ok()) {
+    const Status& error = loaded.status();
+    return Status(error.code(), "dataset '" + spec.name + "': " +
+                                    error.message());
   }
 
   ResidentDataset dataset;
   dataset.name = spec.name;
-  Table table;
-  std::vector<std::string> extraction_columns = spec.extraction_columns;
-  if (!spec.snapshot_path.empty()) {
-    if (!spec.kg_path.empty()) {
-      return Status::InvalidArgument(
-          "dataset '" + spec.name +
-          "' is a snapshot; it carries its own KG (kg_path must be empty)");
-    }
-    MESA_ASSIGN_OR_RETURN(snapshot::SnapshotReader reader,
-                          snapshot::SnapshotReader::Open(spec.snapshot_path));
-    MESA_ASSIGN_OR_RETURN(table, reader.ReadTable());
-    if (reader.has_kg()) {
-      MESA_ASSIGN_OR_RETURN(std::shared_ptr<TripleStore> kg, reader.ReadKg());
-      dataset.kg = std::make_unique<TripleStore>(std::move(*kg));
-      if (extraction_columns.empty()) {
-        extraction_columns = reader.extraction_columns();
-      }
-      if (extraction_columns.empty()) {
-        return Status::InvalidArgument(
-            "dataset '" + spec.name +
-            "' snapshot has a KG but no extraction columns");
-      }
-    }
-    dataset.source_path = spec.snapshot_path;
-  } else {
-    MESA_ASSIGN_OR_RETURN(table, ReadCsvFile(spec.csv_path));
-    dataset.source_path = spec.csv_path;
-    if (!spec.kg_path.empty()) {
-      MESA_ASSIGN_OR_RETURN(TripleStore kg, ReadKgFile(spec.kg_path));
-      dataset.kg = std::make_unique<TripleStore>(std::move(kg));
-      if (extraction_columns.empty()) {
-        return Status::InvalidArgument("dataset '" + spec.name +
-                                       "' has a KG but no extraction columns");
-      }
-    }
-  }
-  dataset.rows = table.num_rows();
-  dataset.columns = table.num_columns();
-  dataset.mesa = std::make_unique<Mesa>(std::move(table), dataset.kg.get(),
-                                        extraction_columns, spec.options);
+  dataset.source_path =
+      spec.snapshot_path.empty() ? spec.csv_path : spec.snapshot_path;
+  dataset.kg = std::move(loaded->kg);
+  dataset.rows = loaded->table.num_rows();
+  dataset.columns = loaded->table.num_columns();
+  dataset.mesa = std::make_unique<Mesa>(std::move(loaded->table),
+                                        dataset.kg.get(),
+                                        std::move(loaded->extraction_columns),
+                                        spec.options);
   names_.push_back(spec.name);
   datasets_.emplace(spec.name, std::move(dataset));
   return Status::OK();

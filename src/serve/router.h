@@ -42,12 +42,12 @@ struct RouterOptions {
   uint64_t default_deadline_ms = 0;
 };
 
-/// One resident dataset: the owned knowledge graph (if any) and the Mesa
+/// One resident dataset: the knowledge graph (if any) and the Mesa
 /// instance answering queries over it.
 struct ResidentDataset {
   std::string name;
   std::string source_path;          ///< the CSV or .msnap it was loaded from.
-  std::unique_ptr<TripleStore> kg;  ///< owned; Mesa holds a raw pointer.
+  std::shared_ptr<TripleStore> kg;  ///< Mesa holds a raw pointer into it.
   std::unique_ptr<Mesa> mesa;
   size_t rows = 0;
   size_t columns = 0;
@@ -70,8 +70,9 @@ class Router {
   };
 
   /// Loads the CSV (+ KG) or snapshot from disk and builds the resident
-  /// Mesa — exactly the load paths `mesa_cli explain` takes, so daemon
-  /// replies are byte-identical to one-shot runs over the same files.
+  /// Mesa — through LoadDataset (snapshot/dataset_loader.h), the loader
+  /// `mesa_cli explain` uses, so daemon replies are byte-identical to
+  /// one-shot runs over the same files.
   Status AddDataset(const DatasetSpec& spec);
 
   /// Preprocesses every resident dataset now (extraction, offline

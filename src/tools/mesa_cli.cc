@@ -25,10 +25,9 @@
 #include "core/mesa.h"
 #include "core/report_format.h"
 #include "datagen/registry.h"
-#include "info/cmi_kernel.h"
 #include "info/info_cache.h"
 #include "kg/serialization.h"
-#include "snapshot/reader.h"
+#include "snapshot/dataset_loader.h"
 #include "snapshot/writer.h"
 #include "table/csv.h"
 
@@ -61,10 +60,6 @@ int Usage() {
                                            the entropy/MI/CMI kernels
                                            (default: $MESA_INFO_CACHE, or
                                            on; see docs/performance.md)
-      [--cmi-kernel auto|dense|packed|hash] force the MI/CMI kernel
-                                           (default: $MESA_CMI_KERNEL, or
-                                           auto = pick by key width; see
-                                           docs/architecture.md)
       [--fault-plan PLAN]                  inject KG endpoint faults, e.g.
                                            "seed=7;timeout=0.2;latency=1:5"
                                            (default: $MESA_FAULT_PLAN;
@@ -112,12 +107,19 @@ class Flags {
     auto it = values_.find(name);
     return it == values_.end() ? dflt : it->second;
   }
-  int64_t GetInt(const std::string& name, int64_t dflt) const {
+  // Reads a non-negative integer flag into *out (left at its default
+  // when the flag is absent). False, with a message, on anything else.
+  bool GetCount(const std::string& name, size_t* out) const {
     auto it = values_.find(name);
-    if (it == values_.end()) return dflt;
-    int64_t v = dflt;
-    ParseInt64(it->second, &v);
-    return v;
+    if (it == values_.end()) return true;
+    int64_t v = 0;
+    if (!ParseInt64(it->second, &v) || v < 0) {
+      std::fprintf(stderr, "--%s must be a non-negative integer, got '%s'\n",
+                   name.c_str(), it->second.c_str());
+      return false;
+    }
+    *out = static_cast<size_t>(v);
+    return true;
   }
 
  private:
@@ -146,8 +148,11 @@ int RunGen(const Flags& flags) {
     return 1;
   }
   GenOptions gen;
-  gen.rows = static_cast<size_t>(flags.GetInt("rows", 0));
-  gen.seed = static_cast<uint64_t>(flags.GetInt("seed", 43));
+  size_t seed = gen.seed;
+  if (!flags.GetCount("rows", &gen.rows) || !flags.GetCount("seed", &seed)) {
+    return 1;
+  }
+  gen.seed = seed;
   auto ds = MakeDataset(kind, gen);
   if (!ds.ok()) {
     std::fprintf(stderr, "generation failed: %s\n",
@@ -177,10 +182,6 @@ int RunExplain(const Flags& flags) {
   std::string snapshot_path = flags.Get("snapshot");
   std::string save_snapshot = flags.Get("save-snapshot");
   std::string sql = flags.Get("query");
-  if (data.empty() == snapshot_path.empty()) {
-    std::fprintf(stderr, "exactly one of --data / --snapshot is required\n");
-    return 1;
-  }
   if (sql.empty() && save_snapshot.empty()) {
     std::fprintf(stderr,
                  "--query is required (omit it only with --save-snapshot "
@@ -188,69 +189,54 @@ int RunExplain(const Flags& flags) {
     return 1;
   }
 
-  Table table;
-  TripleStore kg;
-  std::shared_ptr<TripleStore> kg_from_snapshot;
-  const TripleStore* kg_ptr = nullptr;
-  std::vector<std::string> extract;
-
-  if (!snapshot_path.empty()) {
-    if (flags.Has("kg") || flags.Has("extract")) {
-      std::fprintf(stderr,
-                   "--kg/--extract conflict with --snapshot: a snapshot "
-                   "already carries its KG and extraction columns\n");
+  if (flags.Has("info-cache")) {
+    std::string v = flags.Get("info-cache");
+    if (v == "on" || v == "off") {
+      info_cache::SetEnabled(v == "on");
+    } else {
+      std::fprintf(stderr, "--info-cache must be 'on' or 'off'\n");
       return 1;
     }
-    auto reader = snapshot::SnapshotReader::Open(snapshot_path);
-    if (!reader.ok()) {
-      std::fprintf(stderr, "cannot read %s: %s\n", snapshot_path.c_str(),
-                   reader.status().ToString().c_str());
-      return 2;
-    }
-    auto loaded_table = reader->ReadTable();
-    if (!loaded_table.ok()) {
-      std::fprintf(stderr, "cannot read %s: %s\n", snapshot_path.c_str(),
-                   loaded_table.status().ToString().c_str());
-      return 2;
-    }
-    table = std::move(*loaded_table);
-    if (reader->has_kg()) {
-      auto loaded_kg = reader->ReadKg();
-      if (!loaded_kg.ok()) {
-        std::fprintf(stderr, "cannot read %s: %s\n", snapshot_path.c_str(),
-                     loaded_kg.status().ToString().c_str());
-        return 2;
-      }
-      kg_from_snapshot = std::move(*loaded_kg);
-      kg_ptr = kg_from_snapshot.get();
-      extract = reader->extraction_columns();
-    }
-  } else {
-    auto loaded_table = ReadCsvFile(data);
-    if (!loaded_table.ok()) {
-      std::fprintf(stderr, "cannot read %s: %s\n", data.c_str(),
-                   loaded_table.status().ToString().c_str());
-      return 2;
-    }
-    table = std::move(*loaded_table);
-    if (flags.Has("kg")) {
-      auto loaded = ReadKgFile(flags.Get("kg"));
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "cannot read KG: %s\n",
-                     loaded.status().ToString().c_str());
-        return 2;
-      }
-      kg = std::move(*loaded);
-      kg_ptr = &kg;
-      for (auto& col : Split(flags.Get("extract"), ',')) {
-        if (!col.empty()) extract.push_back(col);
-      }
-      if (extract.empty()) {
-        std::fprintf(stderr, "--kg needs --extract Col1,Col2\n");
-        return 1;
-      }
-    }
   }
+
+  MesaOptions options;
+  if (!flags.GetCount("hops", &options.extraction.hops) ||
+      !flags.GetCount("k", &options.mcimr.max_size)) {
+    return 1;
+  }
+  if (flags.Has("no-prune")) {
+    options.enable_offline_pruning = false;
+    options.enable_online_pruning = false;
+  }
+  options.fault_plan = flags.Get("fault-plan");
+  if (flags.Has("min-coverage")) {
+    double floor = 0.0;
+    if (!ParseDouble(flags.Get("min-coverage"), &floor) || floor < 0.0 ||
+        floor > 1.0) {
+      std::fprintf(stderr, "--min-coverage must be a fraction in [0,1]\n");
+      return 1;
+    }
+    options.extraction.min_coverage = floor;
+  }
+
+  DatasetSource source{data, snapshot_path, flags.Get("kg"), {}};
+  for (auto& col : Split(flags.Get("extract"), ',')) {
+    if (!col.empty()) source.extraction_columns.push_back(col);
+  }
+  Status valid = ValidateDatasetSource(source);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.message().c_str());
+    return 1;
+  }
+  auto dataset = LoadDataset(source);
+  if (!dataset.ok()) {
+    std::fprintf(stderr, "cannot load dataset: %s\n",
+                 dataset.status().ToString().c_str());
+    return 2;
+  }
+  Table& table = dataset->table;
+  const TripleStore* kg_ptr = dataset->kg.get();
+  const std::vector<std::string>& extract = dataset->extraction_columns;
 
   if (!save_snapshot.empty()) {
     snapshot::SnapshotWriter writer;
@@ -267,44 +253,6 @@ int RunExplain(const Flags& flags) {
                 table.num_rows(), table.num_columns(),
                 kg_ptr != nullptr ? ", with KG" : "");
     if (sql.empty()) return 0;
-  }
-
-  if (flags.Has("info-cache")) {
-    std::string v = flags.Get("info-cache");
-    if (v == "on" || v == "off") {
-      info_cache::SetEnabled(v == "on");
-    } else {
-      std::fprintf(stderr, "--info-cache must be 'on' or 'off'\n");
-      return 1;
-    }
-  }
-
-  if (flags.Has("cmi-kernel")) {
-    CmiKernel kernel = CmiKernel::kAuto;
-    if (!ParseCmiKernel(flags.Get("cmi-kernel"), &kernel)) {
-      std::fprintf(stderr,
-                   "--cmi-kernel must be auto, dense, packed, or hash\n");
-      return 1;
-    }
-    SetCmiKernelMode(kernel);
-  }
-
-  MesaOptions options;
-  options.extraction.hops = static_cast<size_t>(flags.GetInt("hops", 1));
-  options.mcimr.max_size = static_cast<size_t>(flags.GetInt("k", 5));
-  if (flags.Has("no-prune")) {
-    options.enable_offline_pruning = false;
-    options.enable_online_pruning = false;
-  }
-  options.fault_plan = flags.Get("fault-plan");
-  if (flags.Has("min-coverage")) {
-    double floor = 0.0;
-    if (!ParseDouble(flags.Get("min-coverage"), &floor) || floor < 0.0 ||
-        floor > 1.0) {
-      std::fprintf(stderr, "--min-coverage must be a fraction in [0,1]\n");
-      return 1;
-    }
-    options.extraction.min_coverage = floor;
   }
 
   Mesa mesa(std::move(table), kg_ptr, extract, options);

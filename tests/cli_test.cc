@@ -4,6 +4,7 @@
 // (e.g. when tests run from an unexpected working directory).
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,9 +24,15 @@ std::string CliPath() {
   return "";
 }
 
-// Runs a command, returns exit code; stdout lands in `out_path`.
+// Runs a command, returns its std::system status (0 on success).
 int RunCommand(const std::string& command) {
   return std::system(command.c_str());
+}
+
+// Runs a command, returns its exit code (-1 if it did not exit normally).
+int ExitCode(const std::string& command) {
+  int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 std::string Slurp(const std::string& path) {
@@ -98,11 +105,42 @@ TEST(MesaCli, UsageAndErrorPaths) {
                        " 2>&1"),
             0);
   // Missing file -> exit 2.
-  EXPECT_NE(RunCommand(cli + " explain --data /nonexistent.csv --query "
-                             "\"SELECT a, avg(b) FROM t GROUP BY a\" > " +
-                       out + " 2>&1"),
+  EXPECT_EQ(ExitCode(cli + " explain --data /nonexistent.csv --query "
+                           "\"SELECT a, avg(b) FROM t GROUP BY a\" > " +
+                     out + " 2>&1"),
+            2);
+  // Bad integer flags -> usage error, exit 1, never a silently clamped or
+  // wrapped value.
+  EXPECT_EQ(ExitCode(cli + " gen --dataset covid --rows -5 --out /tmp/x > " +
+                     out + " 2>&1"),
+            1);
+  EXPECT_NE(Slurp(out).find("--rows"), std::string::npos);
+  std::string prefix = testing::TempDir() + "/mesa_cli_err_world";
+  ASSERT_EQ(ExitCode(cli + " gen --dataset covid --out " + prefix + " > " +
+                     out + " 2>&1"),
             0);
-  // Bad SQL -> exit 1.
+  const std::string explain =
+      cli + " explain --data " + prefix + ".csv --kg " + prefix +
+      ".kg --extract Country,WHO_Region --query \"SELECT Country, "
+      "avg(Deaths_per_100_cases) FROM covid GROUP BY Country\"";
+  for (const char* bad : {"--k abc", "--k -1", "--hops -1", "--k 3x"}) {
+    EXPECT_EQ(ExitCode(explain + " " + bad + " > " + out + " 2>&1"), 1)
+        << bad << ": " << Slurp(out);
+    EXPECT_NE(Slurp(out).find("non-negative integer"), std::string::npos)
+        << bad;
+  }
+  // A KG without extraction columns, and KG flags next to a snapshot,
+  // are usage errors.
+  EXPECT_EQ(ExitCode(cli + " explain --data " + prefix + ".csv --kg " +
+                     prefix + ".kg --query \"SELECT a, avg(b) FROM t GROUP "
+                     "BY a\" > " + out + " 2>&1"),
+            1);
+  EXPECT_EQ(ExitCode(cli + " explain --snapshot /nonexistent.msnap --extract "
+                           "Country --query \"SELECT a, avg(b) FROM t GROUP "
+                           "BY a\" > " + out + " 2>&1"),
+            1);
+  std::remove((prefix + ".csv").c_str());
+  std::remove((prefix + ".kg").c_str());
   std::remove(out.c_str());
 }
 

@@ -1,19 +1,19 @@
 // Tests for the MI/CMI kernel family (src/info/cmi_kernel.h): the dense
-// arena and the sort-packed sparse kernel must agree *bit-for-bit* on
-// every input (the canonical-cube contract), the legacy hash kernel must
-// agree to ulp-level, and the packed path must unlock joint-cube sharing
-// above the 20-bit dense limit where the old code recorded zero cube
-// hits. Own binary: it resizes the global pool, flips the process-wide
-// kernel override, and clears the process-wide cache.
+// arena and the sort-packed sparse kernel must build *bit-for-bit* the
+// same cube on every input (the canonical-cube contract), selection must
+// follow the key width, and the packed path must unlock joint-cube
+// sharing above the 20-bit dense limit where the old code recorded zero
+// cube hits. Own binary: it resizes the global pool and clears the
+// process-wide cache.
 
 #include "info/cmi_kernel.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -26,10 +26,9 @@
 namespace mesa {
 namespace {
 
-// Restores the kernel override, the pool, and the cache when a test exits.
+// Restores the pool and the cache when a test exits.
 struct KernelGuard {
   ~KernelGuard() {
-    SetCmiKernelMode(CmiKernel::kAuto);
     SetNumThreads(1);
     info_cache::SetEnabled(true);
     info_cache::Clear();
@@ -49,120 +48,62 @@ CodedVariable RandomCoded(Rng& rng, size_t n, int32_t card,
   return v;
 }
 
-// One seeded dataset (odd seeds weighted, like info_cache_test.cc) pushed
-// through every kernel-dispatching estimator: MI, CMI over all three
-// partitions of the triple (exercising cube repacking), and a repeat call
-// (exercising the scalar memo). Cardinalities alternate between small
-// (dense territory) and wide (packed territory) with the seed.
-std::vector<double> KernelBattery(uint64_t seed) {
-  Rng rng(seed);
-  const size_t n = 500 + 41 * (seed % 5);
-  const bool wide = seed % 3 == 0;
-  CodedVariable x = RandomCoded(rng, n, wide ? 300 : 2 + seed % 5, 0.1);
-  CodedVariable y = RandomCoded(rng, n, wide ? 200 : 3 + seed % 4, 0.0);
-  CodedVariable z = RandomCoded(rng, n, wide ? 50 : 2 + seed % 3, 0.05);
-  std::vector<double> weights;
-  const std::vector<double>* w = nullptr;
-  if (seed % 2 == 1) {
-    weights.resize(n);
-    for (auto& wi : weights) wi = rng.NextUniform(0.5, 2.0);
-    w = &weights;
-  }
-  EntropyOptions mm;
-  mm.miller_madow = true;
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-  std::vector<double> out;
-  out.push_back(MutualInformation(x, y, w));
-  out.push_back(MutualInformation(x, y, w, mm));
-  out.push_back(ConditionalMutualInformation(x, y, z, w));
-  out.push_back(ConditionalMutualInformation(x, z, y, w));
-  out.push_back(ConditionalMutualInformation(y, z, x, w));
-  out.push_back(ConditionalMutualInformation(x, y, z, w, mm));
-  out.push_back(ConditionalMutualInformation(x, y, z, w));  // memo repeat
-  out.push_back(InteractionInformation(x, y, z, w));
-  return out;
-}
-
-std::vector<double> BatteryWithKernel(uint64_t seed, CmiKernel kernel) {
-  SetCmiKernelMode(kernel);
-  // Fresh cache per arm so no arm can serve another arm's memoized value
-  // (the dense and packed kernels *intentionally* share memo entries).
-  info_cache::Clear();
-  return KernelBattery(seed);
-}
-
-// ------------------------------------------------------- mode parsing
-
-TEST(CmiKernelMode, ParseAndName) {
-  CmiKernel k = CmiKernel::kHash;
-  EXPECT_TRUE(ParseCmiKernel("auto", &k));
-  EXPECT_EQ(k, CmiKernel::kAuto);
-  EXPECT_TRUE(ParseCmiKernel("dense", &k));
-  EXPECT_EQ(k, CmiKernel::kDense);
-  EXPECT_TRUE(ParseCmiKernel("packed", &k));
-  EXPECT_EQ(k, CmiKernel::kPacked);
-  EXPECT_TRUE(ParseCmiKernel("hash", &k));
-  EXPECT_EQ(k, CmiKernel::kHash);
-  EXPECT_FALSE(ParseCmiKernel("sparse", &k));
-  EXPECT_FALSE(ParseCmiKernel("", &k));
-  EXPECT_EQ(k, CmiKernel::kHash);  // unchanged on parse failure
-  EXPECT_STREQ(CmiKernelName(CmiKernel::kAuto), "auto");
-  EXPECT_STREQ(CmiKernelName(CmiKernel::kDense), "dense");
-  EXPECT_STREQ(CmiKernelName(CmiKernel::kPacked), "packed");
-  EXPECT_STREQ(CmiKernelName(CmiKernel::kHash), "hash");
-}
-
-// ------------------------------------------- dense == packed, bitwise
-
-// The canonical-cube contract: dense and packed build the *same* sparse
-// cube (same entries, same per-cell addend order, same summation order),
-// so every estimate is bit-identical — across 20 seeded datasets, with
-// and without IPW weights, at 1, 2, and 8 threads, cache on or off.
+// The canonical-cube contract: the dense arena and the sort-packed
+// builder emit the *same* sparse cube — same keys, bitwise-equal cell
+// counts (each summed in input-row order) — and therefore bitwise-equal
+// CMI, across 20 seeded datasets (odd seeds IPW-weighted), every
+// partition of the triple, with and without Miller-Madow, at 1, 2, and 8
+// threads. Widths stay within the dense arena, where both builders run.
 TEST(CmiKernelProperty, DensePackedBitIdenticalAcrossSeedsAndThreads) {
   KernelGuard guard;
   for (uint64_t seed = 0; seed < 20; ++seed) {
-    SetNumThreads(1);
-    info_cache::SetEnabled(false);
-    const std::vector<double> reference =
-        BatteryWithKernel(seed, CmiKernel::kDense);
+    Rng rng(seed);
+    const size_t n = 500 + 41 * (seed % 5);
+    const bool wide = seed % 3 == 0;  // 9 + 8 + 3 = 20 key bits
+    CodedVariable x = RandomCoded(rng, n, wide ? 300 : 2 + seed % 5, 0.1);
+    CodedVariable y = RandomCoded(rng, n, wide ? 200 : 3 + seed % 4, 0.0);
+    CodedVariable z = RandomCoded(rng, n, wide ? 8 : 2 + seed % 3, 0.05);
+    std::vector<double> weights;
+    if (seed % 2 == 1) {
+      weights.resize(n);
+      for (auto& wi : weights) wi = rng.NextUniform(0.5, 2.0);
+    }
+    const std::vector<double>* w = weights.empty() ? nullptr : &weights;
+    const CodedVariable* partitions[3][3] = {
+        {&x, &y, &z}, {&x, &z, &y}, {&y, &z, &x}};
     for (size_t threads : {1, 2, 8}) {
       SetNumThreads(threads);
-      for (bool cached : {false, true}) {
-        info_cache::SetEnabled(cached);
-        std::vector<double> dense = BatteryWithKernel(seed, CmiKernel::kDense);
-        std::vector<double> packed =
-            BatteryWithKernel(seed, CmiKernel::kPacked);
-        std::vector<double> aut = BatteryWithKernel(seed, CmiKernel::kAuto);
-        ASSERT_EQ(reference.size(), packed.size());
-        for (size_t q = 0; q < reference.size(); ++q) {
-          const std::string label = "seed=" + std::to_string(seed) +
-                                    " threads=" + std::to_string(threads) +
-                                    " cached=" + std::to_string(cached) +
-                                    " quantity=" + std::to_string(q);
-          EXPECT_EQ(reference[q], dense[q]) << label << " (dense)";
-          EXPECT_EQ(reference[q], packed[q]) << label << " (packed)";
-          EXPECT_EQ(reference[q], aut[q]) << label << " (auto)";
+      for (const auto& p : partitions) {
+        const int bx = info_internal::BitsFor(p[0]->cardinality);
+        const int by = info_internal::BitsFor(p[1]->cardinality);
+        const int bz = info_internal::BitsFor(p[2]->cardinality);
+        std::vector<info_cache::CubeEntry> dense, packed;
+        info_internal::BuildDenseEntries(*p[0], *p[1], *p[2], w, bx, by, bz,
+                                         &dense);
+        info_internal::BuildPackedEntries(*p[0], *p[1], *p[2], w, bx, by, bz,
+                                          &packed);
+        const std::string label = "seed=" + std::to_string(seed) +
+                                  " threads=" + std::to_string(threads) +
+                                  " bits=" + std::to_string(bx + by + bz);
+        ASSERT_EQ(dense.size(), packed.size()) << label;
+        for (size_t i = 0; i < dense.size(); ++i) {
+          ASSERT_EQ(dense[i].key, packed[i].key) << label << " cell=" << i;
+          ASSERT_EQ(Bits(dense[i].count), Bits(packed[i].count))
+              << label << " cell=" << i;
+        }
+        const double total = info_internal::SumEntriesAscending(dense);
+        for (bool mm : {false, true}) {
+          EntropyOptions options;
+          options.miller_madow = mm;
+          EXPECT_EQ(Bits(info_internal::CmiFromEntries(dense, total, options,
+                                                       bx, by, bz)),
+                    Bits(info_internal::CmiFromEntries(packed, total, options,
+                                                       bx, by, bz)))
+              << label << " mm=" << mm;
         }
       }
-    }
-  }
-}
-
-// The legacy hash kernel visits cells in hash-map iteration order, so it
-// is *not* bit-identical — but it must agree to ulp-level slack.
-TEST(CmiKernelProperty, HashKernelAgreesToUlpLevel) {
-  KernelGuard guard;
-  SetNumThreads(1);
-  info_cache::SetEnabled(false);
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    std::vector<double> packed = BatteryWithKernel(seed, CmiKernel::kPacked);
-    std::vector<double> hash = BatteryWithKernel(seed, CmiKernel::kHash);
-    ASSERT_EQ(packed.size(), hash.size());
-    for (size_t q = 0; q < packed.size(); ++q) {
-      const double tol =
-          1e-9 * std::max({1.0, std::fabs(packed[q]), std::fabs(hash[q])});
-      EXPECT_NEAR(packed[q], hash[q], tol)
-          << "seed=" << seed << " quantity=" << q;
     }
   }
 }
@@ -170,7 +111,8 @@ TEST(CmiKernelProperty, HashKernelAgreesToUlpLevel) {
 // Permuting the input rows permutes only the order in which each cell's
 // count accumulates. Unweighted counts are small integers, so the cube —
 // and with it every estimate — must be *bitwise* invariant under row
-// permutation, on both kernels.
+// permutation, on both kernels: even seeds use 16 key bits (dense), odd
+// seeds 28 (packed).
 TEST(CmiKernelProperty, UnweightedEstimatesInvariantUnderRowPermutation) {
   KernelGuard guard;
   SetNumThreads(8);
@@ -178,9 +120,10 @@ TEST(CmiKernelProperty, UnweightedEstimatesInvariantUnderRowPermutation) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Rng rng(seed * 77 + 1);
     const size_t n = 3000;
-    CodedVariable x = RandomCoded(rng, n, 40, 0.1);
-    CodedVariable y = RandomCoded(rng, n, 30, 0.0);
-    CodedVariable z = RandomCoded(rng, n, 20, 0.05);
+    const bool wide = seed % 2 == 1;
+    CodedVariable x = RandomCoded(rng, n, wide ? 1500 : 40, 0.1);
+    CodedVariable y = RandomCoded(rng, n, wide ? 1200 : 30, 0.0);
+    CodedVariable z = RandomCoded(rng, n, wide ? 40 : 20, 0.05);
 
     std::vector<size_t> perm(n);
     for (size_t i = 0; i < n; ++i) perm[i] = i;
@@ -195,14 +138,11 @@ TEST(CmiKernelProperty, UnweightedEstimatesInvariantUnderRowPermutation) {
     };
     CodedVariable px = permuted(x), py = permuted(y), pz = permuted(z);
 
-    for (CmiKernel kernel : {CmiKernel::kDense, CmiKernel::kPacked}) {
-      SetCmiKernelMode(kernel);
-      EXPECT_EQ(ConditionalMutualInformation(x, y, z),
-                ConditionalMutualInformation(px, py, pz))
-          << "seed=" << seed << " kernel=" << CmiKernelName(kernel);
-      EXPECT_EQ(MutualInformation(x, y), MutualInformation(px, py))
-          << "seed=" << seed << " kernel=" << CmiKernelName(kernel);
-    }
+    EXPECT_EQ(ConditionalMutualInformation(x, y, z),
+              ConditionalMutualInformation(px, py, pz))
+        << "seed=" << seed;
+    EXPECT_EQ(MutualInformation(x, y), MutualInformation(px, py))
+        << "seed=" << seed;
   }
 }
 
@@ -257,44 +197,13 @@ TEST(CmiKernelCache, JointCubeSharedAboveDenseBitLimit) {
   EXPECT_GT(m1.cube_hits, m0.cube_hits);
 }
 
-// Forcing `dense` above the arena limit silently clamps to packed (they
-// are bit-identical, so the clamp is invisible) rather than failing.
-TEST(CmiKernelCache, ForcedDenseClampsToPackedAboveBitLimit) {
-  KernelGuard guard;
-  SetNumThreads(1);
-  info_cache::SetEnabled(false);
-
-  Rng rng(777);
-  const size_t n = 3000;
-  CodedVariable x = RandomCoded(rng, n, 1500, 0.0);
-  CodedVariable y = RandomCoded(rng, n, 1200, 0.0);
-  CodedVariable z = RandomCoded(rng, n, 40, 0.0);
-
-  SetCmiKernelMode(CmiKernel::kPacked);
-  const double packed = ConditionalMutualInformation(x, y, z);
-  SetCmiKernelMode(CmiKernel::kDense);
-  const double clamped = ConditionalMutualInformation(x, y, z);
-  EXPECT_EQ(packed, clamped);
-
 #if MESA_METRICS_ENABLED
-  // The clamp is visible in the selection counters: a forced-dense call
-  // above the limit still counts as a packed selection.
-  const uint64_t packed_before = metrics::CounterValue("info/kernel_packed");
-  const uint64_t dense_before = metrics::CounterValue("info/kernel_dense");
-  ConditionalMutualInformation(x, y, z);
-  EXPECT_EQ(metrics::CounterValue("info/kernel_packed"), packed_before + 1);
-  EXPECT_EQ(metrics::CounterValue("info/kernel_dense"), dense_before);
-#endif
-}
-
-#if MESA_METRICS_ENABLED
-// `auto` routes by key width: narrow triples to the dense arena, wide
+// Selection routes by key width: narrow triples to the dense arena, wide
 // ones to the packed kernel — observable in the selection counters.
 TEST(CmiKernelCounters, AutoSelectsByKeyWidth) {
   KernelGuard guard;
   SetNumThreads(1);
   info_cache::SetEnabled(false);
-  SetCmiKernelMode(CmiKernel::kAuto);
 
   Rng rng(31);
   CodedVariable nx = RandomCoded(rng, 1000, 4, 0.0);
@@ -311,11 +220,6 @@ TEST(CmiKernelCounters, AutoSelectsByKeyWidth) {
   EXPECT_EQ(metrics::CounterValue("info/kernel_packed"), packed0);
   ConditionalMutualInformation(wx, wy, wz);
   EXPECT_EQ(metrics::CounterValue("info/kernel_packed"), packed0 + 1);
-
-  uint64_t hash0 = metrics::CounterValue("info/kernel_hash");
-  SetCmiKernelMode(CmiKernel::kHash);
-  ConditionalMutualInformation(nx, ny, nz);
-  EXPECT_EQ(metrics::CounterValue("info/kernel_hash"), hash0 + 1);
 }
 #endif  // MESA_METRICS_ENABLED
 
