@@ -26,7 +26,7 @@ struct VariantTimes {
   double offline_only = 0.0;
   double full = 0.0;
   // CMI-estimator evaluations per variant (the paper's cost unit; what
-  // pruning actually saves). Zero when built with MESA_METRICS=OFF.
+  // pruning actually saves).
   uint64_t no_pruning_evals = 0;
   uint64_t offline_only_evals = 0;
   uint64_t full_evals = 0;

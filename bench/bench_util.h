@@ -102,9 +102,8 @@ std::string ThreadSweepJson(const std::string& label,
                             const std::vector<ThreadTiming>& timings);
 
 /// Estimator-evaluation counters read from the metrics registry (see
-/// docs/observability.md). All zero when the build has MESA_METRICS=OFF.
-/// Take a reading before and after a phase and subtract to attribute the
-/// work to that phase.
+/// docs/observability.md). Take a reading before and after a phase and
+/// subtract to attribute the work to that phase.
 struct EvalCounts {
   uint64_t cmi = 0;       ///< info/cmi_evals
   uint64_t mi = 0;        ///< info/mi_evals
@@ -120,14 +119,12 @@ std::string EvalCountsToString(const EvalCounts& c);
 /// in seconds: the sum of every span distribution whose final path
 /// segment is cmi / mi / entropy / cond_entropy (span sums are
 /// nanoseconds; see docs/observability.md). Take a reading before and
-/// after a phase and subtract. Zero when MESA_METRICS=OFF — the cache
-/// A/B sections of the benches report "n/a" in that case.
+/// after a phase and subtract.
 double InfoKernelSeconds();
 
 /// Compact rendering of the sufficient-statistics cache counters:
 /// "scalar <hits>/<misses> cube <hits>/<misses> evict <n>". Pass a
-/// before/after delta for per-phase numbers. Works regardless of
-/// MESA_METRICS (reads the cache's own atomics).
+/// before/after delta for per-phase numbers (reads info_cache::GetStats()).
 struct InfoCacheDelta {
   uint64_t scalar_hits = 0;
   uint64_t scalar_misses = 0;

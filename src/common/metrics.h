@@ -15,14 +15,10 @@
 ///
 /// Each macro caches its registry handle in a function-local static, so
 /// the name is hashed once per call site, and a counter bump is a single
-/// relaxed atomic add. Configure with the CMake option `MESA_METRICS`
-/// (default ON): when OFF every macro compiles to nothing. The registry
-/// API itself (snapshot/reset/JSON) is always compiled so callers like
-/// `mesa_cli --metrics` work in either build — the snapshot is simply
-/// empty when instrumentation is compiled out. A runtime switch
-/// (`SetEnabled(false)`) additionally turns collection into cheap
-/// early-outs without recompiling, which is how the benches measure the
-/// enabled-vs-disabled overhead.
+/// relaxed atomic add. The runtime switch `SetEnabled(false)` turns
+/// collection into cheap early-outs, which is how the benches measure the
+/// enabled-vs-disabled overhead; the registry itself (snapshot/reset/JSON)
+/// stays readable either way.
 ///
 /// Thread-safety: everything here is safe to call concurrently. Spans
 /// track their path per thread; `ThreadPool::Run` installs the caller's
@@ -35,10 +31,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef MESA_METRICS_ENABLED
-#define MESA_METRICS_ENABLED 1
-#endif
 
 namespace mesa {
 namespace metrics {
@@ -195,8 +187,6 @@ class ScopedSpan {
 }  // namespace metrics
 }  // namespace mesa
 
-#if MESA_METRICS_ENABLED
-
 #define MESA_COUNT(name) MESA_COUNT_N(name, 1)
 
 #define MESA_COUNT_N(name, n)                                         \
@@ -222,24 +212,5 @@ class ScopedSpan {
 #define MESA_SPAN(name)                              \
   ::mesa::metrics::ScopedSpan MESA_METRICS_CONCAT(   \
       mesa_metrics_span_, __LINE__)(name)
-
-#else  // !MESA_METRICS_ENABLED
-
-#define MESA_COUNT(name) \
-  do {                   \
-  } while (0)
-#define MESA_COUNT_N(name, n) \
-  do {                        \
-    (void)(n);                \
-  } while (0)
-#define MESA_RECORD(name, value) \
-  do {                           \
-    (void)(value);               \
-  } while (0)
-#define MESA_SPAN(name) \
-  do {                  \
-  } while (0)
-
-#endif  // MESA_METRICS_ENABLED
 
 #endif  // MESA_COMMON_METRICS_H_

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 
 #include "common/cancel.h"
+#include "common/logging.h"
 #include "common/metrics.h"
 
 namespace mesa {
@@ -16,9 +19,13 @@ thread_local bool t_in_worker = false;
 
 size_t DefaultNumThreads() {
   if (const char* env = std::getenv("MESA_NUM_THREADS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) return static_cast<size_t>(v);
+    const char* end = env + std::strlen(env);
+    size_t v = 0;
+    const auto parsed = std::from_chars(env, end, v);
+    if (parsed.ec == std::errc() && parsed.ptr == end && v >= 1) return v;
+    MESA_LOG(Warning) << "ignoring MESA_NUM_THREADS=\"" << env
+                      << "\" (not a whole positive integer); using the "
+                         "hardware default";
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
@@ -161,27 +168,12 @@ void SetNumThreads(size_t num_threads) {
 
 size_t NumThreads() { return GlobalThreadPool()->num_threads(); }
 
-namespace {
-std::atomic<bool> g_data_plane_parallel{true};
-}  // namespace
-
-void SetDataPlaneParallel(bool enabled) {
-  g_data_plane_parallel.store(enabled, std::memory_order_relaxed);
-}
-
-bool DataPlaneParallel() {
-  return g_data_plane_parallel.load(std::memory_order_relaxed);
-}
-
 void ParallelForChunks(size_t begin, size_t end,
-                       const std::function<void(size_t, size_t)>& body,
-                       size_t max_threads) {
+                       const std::function<void(size_t, size_t)>& body) {
   if (end <= begin) return;
   const size_t range = end - begin;
   auto pool = GlobalThreadPool();
-  size_t lanes = pool->num_threads();
-  if (max_threads > 0) lanes = std::min(lanes, max_threads);
-  const size_t chunks = std::min(range, std::max<size_t>(1, lanes));
+  const size_t chunks = std::min(range, pool->num_threads());
   const size_t base = range / chunks;
   const size_t extra = range % chunks;  // first `extra` chunks get +1
   pool->Run(chunks, [&](size_t c) {
@@ -192,13 +184,10 @@ void ParallelForChunks(size_t begin, size_t end,
 }
 
 void ParallelFor(size_t begin, size_t end,
-                 const std::function<void(size_t)>& body, size_t max_threads) {
-  ParallelForChunks(
-      begin, end,
-      [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) body(i);
-      },
-      max_threads);
+                 const std::function<void(size_t)>& body) {
+  ParallelForChunks(begin, end, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) body(i);
+  });
 }
 
 }  // namespace mesa

@@ -66,7 +66,9 @@ class ThreadPool {
 };
 
 /// The process-wide pool, created on first use. Size: MESA_NUM_THREADS if
-/// set (clamped to >= 1), else std::thread::hardware_concurrency().
+/// it is set to a whole positive integer, else
+/// std::thread::hardware_concurrency(). Any other value (0, negative,
+/// trailing junk) logs one warning naming it and uses the hardware default.
 std::shared_ptr<ThreadPool> GlobalThreadPool();
 
 /// Replaces the global pool with one of `num_threads` lanes (>= 1).
@@ -77,30 +79,17 @@ void SetNumThreads(size_t num_threads);
 /// Lane count of the current global pool.
 size_t NumThreads();
 
-/// Process-wide switch for the morsel-driven data-plane operators
-/// (group-by, hash join, KG extraction, TakeRows). When off they run
-/// their single-threaded reference loops regardless of the pool size.
-/// Outputs are bit-identical either way — the parallel paths preserve
-/// the serial accumulation order by construction — so this only exists
-/// to time honest serial baselines (bench A/Bs) and to pin the
-/// serial-vs-parallel equivalence in tests. Defaults to on.
-void SetDataPlaneParallel(bool enabled);
-bool DataPlaneParallel();
-
 /// Parallel loop: body(i) for i in [begin, end). Per-index work must be
 /// independent; chunk boundaries may vary with the thread count, so any
 /// cross-index accumulation belongs in ParallelMapReduce instead.
-/// `max_threads` (0 = pool size) caps the concurrency of this one call.
 void ParallelFor(size_t begin, size_t end,
-                 const std::function<void(size_t)>& body,
-                 size_t max_threads = 0);
+                 const std::function<void(size_t)>& body);
 
 /// Parallel loop over contiguous chunks: body(lo, hi) with
 /// begin <= lo < hi <= end. Lets the body hoist per-chunk scratch buffers,
 /// provided each index's result stays independent of the chunking.
 void ParallelForChunks(size_t begin, size_t end,
-                       const std::function<void(size_t, size_t)>& body,
-                       size_t max_threads = 0);
+                       const std::function<void(size_t, size_t)>& body);
 
 /// Deterministic map-reduce: reduce(init, map(begin), map(begin+1), ...)
 /// with partials formed per chunk and combined in chunk order. Chunk
@@ -110,23 +99,19 @@ void ParallelForChunks(size_t begin, size_t end,
 /// max(1, range / 64) indices per chunk.
 template <typename T, typename MapFn, typename ReduceFn>
 T ParallelMapReduce(size_t begin, size_t end, T init, const MapFn& map,
-                    const ReduceFn& reduce, size_t grain = 0,
-                    size_t max_threads = 0) {
+                    const ReduceFn& reduce, size_t grain = 0) {
   if (end <= begin) return init;
   const size_t range = end - begin;
   if (grain == 0) grain = std::max<size_t>(1, range / 64);
   const size_t num_chunks = (range + grain - 1) / grain;
   std::vector<T> partials(num_chunks, init);
-  ParallelFor(
-      0, num_chunks,
-      [&](size_t c) {
-        const size_t lo = begin + c * grain;
-        const size_t hi = std::min(end, lo + grain);
-        T acc = init;
-        for (size_t i = lo; i < hi; ++i) acc = reduce(acc, map(i));
-        partials[c] = acc;
-      },
-      max_threads);
+  ParallelFor(0, num_chunks, [&](size_t c) {
+    const size_t lo = begin + c * grain;
+    const size_t hi = std::min(end, lo + grain);
+    T acc = init;
+    for (size_t i = lo; i < hi; ++i) acc = reduce(acc, map(i));
+    partials[c] = acc;
+  });
   T out = init;
   for (const T& p : partials) out = reduce(out, p);
   return out;

@@ -76,9 +76,6 @@ void StableRadixSortByKey(std::vector<T>* data, int key_bits,
   }
 
   const int passes = (key_bits + 7) / 8;
-  // Honor the data-plane toggle by capping the pool, not by changing the
-  // algorithm: the chunk plan (and so the output) is the same either way.
-  const size_t max_threads = DataPlaneParallel() ? 0 : 1;
   std::vector<T> scratch(n);
   T* src = data->data();
   T* dst = scratch.data();
@@ -90,21 +87,18 @@ void StableRadixSortByKey(std::vector<T>* data, int key_bits,
 
   for (int pass = 0; pass < passes; ++pass) {
     const int shift = pass * 8;
-    ParallelFor(
-        0, num_chunks,
-        [&](size_t c) {
-          CancelCheckpoint();
-          std::array<uint32_t, 256>& h = hist[c];
-          h.fill(0);
-          const size_t lo = c * kRadixChunkRows;
-          const size_t hi = std::min(n, lo + kRadixChunkRows);
-          for (size_t i = lo; i < hi; ++i) {
-            MESA_DCHECK(key_bits == 64 ||
-                        key_of(src[i]) < (uint64_t{1} << key_bits));
-            ++h[(key_of(src[i]) >> shift) & 0xFF];
-          }
-        },
-        max_threads);
+    ParallelFor(0, num_chunks, [&](size_t c) {
+      CancelCheckpoint();
+      std::array<uint32_t, 256>& h = hist[c];
+      h.fill(0);
+      const size_t lo = c * kRadixChunkRows;
+      const size_t hi = std::min(n, lo + kRadixChunkRows);
+      for (size_t i = lo; i < hi; ++i) {
+        MESA_DCHECK(key_bits == 64 ||
+                    key_of(src[i]) < (uint64_t{1} << key_bits));
+        ++h[(key_of(src[i]) >> shift) & 0xFF];
+      }
+    });
     // Exclusive scan in (digit-major, chunk-minor) order: all of digit 0
     // across the chunks in order, then digit 1, ... — exactly the layout
     // a serial stable counting sort would produce.
@@ -115,19 +109,16 @@ void StableRadixSortByKey(std::vector<T>* data, int key_bits,
         run += hist[c][d];
       }
     }
-    ParallelFor(
-        0, num_chunks,
-        [&](size_t c) {
-          CancelCheckpoint();
-          std::array<size_t, 256> cursor;
-          for (size_t d = 0; d < 256; ++d) cursor[d] = starts[c * 256 + d];
-          const size_t lo = c * kRadixChunkRows;
-          const size_t hi = std::min(n, lo + kRadixChunkRows);
-          for (size_t i = lo; i < hi; ++i) {
-            dst[cursor[(key_of(src[i]) >> shift) & 0xFF]++] = src[i];
-          }
-        },
-        max_threads);
+    ParallelFor(0, num_chunks, [&](size_t c) {
+      CancelCheckpoint();
+      std::array<size_t, 256> cursor;
+      for (size_t d = 0; d < 256; ++d) cursor[d] = starts[c * 256 + d];
+      const size_t lo = c * kRadixChunkRows;
+      const size_t hi = std::min(n, lo + kRadixChunkRows);
+      for (size_t i = lo; i < hi; ++i) {
+        dst[cursor[(key_of(src[i]) >> shift) & 0xFF]++] = src[i];
+      }
+    });
     std::swap(src, dst);
   }
   if (src != data->data()) {

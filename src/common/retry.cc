@@ -22,7 +22,6 @@ void CircuitBreaker::TransitionLocked(State next) {
   if (state_ == next) return;
   state_ = next;
   if (options_.metric_prefix.empty()) return;
-#if MESA_METRICS_ENABLED
   if (metrics::Enabled()) {
     // kg.breaker.state records the state code at each transition
     // (0 closed, 1 open, 2 half-open); the per-state counters make the
@@ -35,7 +34,6 @@ void CircuitBreaker::TransitionLocked(State next) {
                                                         : ".closed";
     metrics::GetCounter(options_.metric_prefix + suffix).Add(1);
   }
-#endif
 }
 
 bool CircuitBreaker::Allow(uint64_t now_ms, uint64_t* retry_at_ms) {

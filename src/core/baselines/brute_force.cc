@@ -71,18 +71,15 @@ Result<Explanation> RunBruteForce(const QueryAnalysis& analysis,
     if (block.empty()) return;
     MESA_COUNT_N("baseline/brute_force_subsets", block.size());
     block_cmi.assign(block.size(), inf);
-    ParallelFor(
-        0, block.size(),
-        [&](size_t bi) {
-          const std::vector<size_t>& subset = block[bi];
-          if (options.max_identification_fraction > 0.0 &&
-              analysis.IdentificationFraction(subset) >
-                  options.max_identification_fraction) {
-            return;  // guarded out; stays +inf
-          }
-          block_cmi[bi] = analysis.CmiGivenSet(subset);
-        },
-        analysis.options().num_threads);
+    ParallelFor(0, block.size(), [&](size_t bi) {
+      const std::vector<size_t>& subset = block[bi];
+      if (options.max_identification_fraction > 0.0 &&
+          analysis.IdentificationFraction(subset) >
+              options.max_identification_fraction) {
+        return;  // guarded out; stays +inf
+      }
+      block_cmi[bi] = analysis.CmiGivenSet(subset);
+    });
     for (size_t bi = 0; bi < block.size(); ++bi) {
       if (block_cmi[bi] == inf) continue;
       double objective =

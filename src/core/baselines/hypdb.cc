@@ -39,24 +39,21 @@ Result<Explanation> RunHypDb(const QueryAnalysis& analysis,
   // The two dependence tests are independent per attribute; evaluate them
   // concurrently and collect the survivors in pool order.
   std::vector<char> passes(pool.size(), 0);
-  ParallelFor(
-      0, pool.size(),
-      [&](size_t i) {
-        const PreparedAttribute& attr = analysis.attributes()[pool[i]];
-        const std::vector<double>* w =
-            attr.weights.empty() ? nullptr : &attr.weights;
-        double ke = std::max(1, attr.coded.cardinality - 1);
-        double bias_t = ke * std::max(1, t.cardinality - 1) / (2.0 * n * ln2);
-        double bias_o = ke * std::max(1, o.cardinality - 1) / (2.0 * n * ln2);
-        double mi_et =
-            ConditionalMutualInformation(attr.coded, t, trivial, w, eopts);
-        if (mi_et <= options.dependence_epsilon + bias_t) return;
-        double mi_eo =
-            ConditionalMutualInformation(attr.coded, o, trivial, w, eopts);
-        if (mi_eo <= options.dependence_epsilon + bias_o) return;
-        passes[i] = 1;
-      },
-      analysis.options().num_threads);
+  ParallelFor(0, pool.size(), [&](size_t i) {
+    const PreparedAttribute& attr = analysis.attributes()[pool[i]];
+    const std::vector<double>* w =
+        attr.weights.empty() ? nullptr : &attr.weights;
+    double ke = std::max(1, attr.coded.cardinality - 1);
+    double bias_t = ke * std::max(1, t.cardinality - 1) / (2.0 * n * ln2);
+    double bias_o = ke * std::max(1, o.cardinality - 1) / (2.0 * n * ln2);
+    double mi_et =
+        ConditionalMutualInformation(attr.coded, t, trivial, w, eopts);
+    if (mi_et <= options.dependence_epsilon + bias_t) return;
+    double mi_eo =
+        ConditionalMutualInformation(attr.coded, o, trivial, w, eopts);
+    if (mi_eo <= options.dependence_epsilon + bias_o) return;
+    passes[i] = 1;
+  });
   std::vector<size_t> confounders;
   for (size_t i = 0; i < pool.size(); ++i) {
     if (passes[i]) confounders.push_back(pool[i]);

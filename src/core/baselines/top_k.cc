@@ -17,13 +17,10 @@ Explanation RunTopK(const QueryAnalysis& analysis,
   // Per-candidate scores are independent; the sort key (score, index) is
   // unique, so the ranking is deterministic at any thread count.
   std::vector<std::pair<double, size_t>> scored(candidate_indices.size());
-  ParallelFor(
-      0, candidate_indices.size(),
-      [&](size_t i) {
-        size_t idx = candidate_indices[i];
-        scored[i] = {analysis.CmiGivenAttribute(idx), idx};
-      },
-      analysis.options().num_threads);
+  ParallelFor(0, candidate_indices.size(), [&](size_t i) {
+    size_t idx = candidate_indices[i];
+    scored[i] = {analysis.CmiGivenAttribute(idx), idx};
+  });
   std::sort(scored.begin(), scored.end());
   for (size_t i = 0; i < std::min(k, scored.size()); ++i) {
     ex.attribute_indices.push_back(scored[i].second);

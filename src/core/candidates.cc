@@ -162,34 +162,31 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
   MESA_COUNT_N("qa/candidates_prepared", names.size());
   std::vector<Status> statuses(names.size());
   std::vector<PreparedAttribute> prepared(names.size());
-  ParallelFor(
-      0, names.size(),
-      [&](size_t ci) {
-        CancelCheckpoint();  // per-candidate preparation checkpoint
-        statuses[ci] = [&]() -> Status {
-          const std::string& name = names[ci];
-          MESA_ASSIGN_OR_RETURN(const Column* col,
-                                qa.context_table_.ColumnByName(name));
-          PreparedAttribute attr;
-          attr.name = name;
-          attr.from_kg = kg_set.count(name) > 0;
-          attr.missing_fraction = col->null_fraction();
-          {
-            MESA_SPAN("discretize");
-            MESA_ASSIGN_OR_RETURN(
-                Discretized d,
-                DiscretizeColumn(qa.context_table_, name,
-                                 options.discretizer));
-            attr.coded = CodedVariable{std::move(d.codes), d.cardinality};
-          }
-          if (options.handle_selection_bias && col->null_count() > 0) {
-            MESA_RETURN_IF_ERROR(handle_missing(name, *col, &attr));
-          }
-          prepared[ci] = std::move(attr);
-          return Status::OK();
-        }();
-      },
-      options.num_threads);
+  ParallelFor(0, names.size(), [&](size_t ci) {
+    CancelCheckpoint();  // per-candidate preparation checkpoint
+    statuses[ci] = [&]() -> Status {
+      const std::string& name = names[ci];
+      MESA_ASSIGN_OR_RETURN(const Column* col,
+                            qa.context_table_.ColumnByName(name));
+      PreparedAttribute attr;
+      attr.name = name;
+      attr.from_kg = kg_set.count(name) > 0;
+      attr.missing_fraction = col->null_fraction();
+      {
+        MESA_SPAN("discretize");
+        MESA_ASSIGN_OR_RETURN(
+            Discretized d,
+            DiscretizeColumn(qa.context_table_, name,
+                             options.discretizer));
+        attr.coded = CodedVariable{std::move(d.codes), d.cardinality};
+      }
+      if (options.handle_selection_bias && col->null_count() > 0) {
+        MESA_RETURN_IF_ERROR(handle_missing(name, *col, &attr));
+      }
+      prepared[ci] = std::move(attr);
+      return Status::OK();
+    }();
+  });
   for (const Status& st : statuses) {
     MESA_RETURN_IF_ERROR(st);
   }

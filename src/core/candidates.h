@@ -41,12 +41,6 @@ struct PrepareOptions {
   SelectionBiasOptions bias;
   IpwOptions ipw;  ///< covariates default to {exposure, outcome} if empty.
   EntropyOptions entropy;
-  /// Concurrency cap for this analysis's parallel paths (candidate
-  /// preparation and the score caches' fan-out callers). 0 = the global
-  /// pool size (MESA_NUM_THREADS env var / SetNumThreads). Results are
-  /// bit-identical at any setting — this is a resource knob, not a
-  /// semantics knob (see common/parallel.h).
-  size_t num_threads = 0;
 };
 
 /// Everything the explanation algorithms need about one query over one

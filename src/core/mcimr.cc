@@ -33,40 +33,37 @@ int NextBestAttribute(const QueryAnalysis& analysis,
   // then take the argmin serially in candidate order — the same value and
   // tie-breaking as a serial scan, at any thread count.
   std::vector<double> scores(candidates.size(), inf);
-  ParallelFor(
-      0, candidates.size(),
-      [&](size_t k) {
-        MESA_SPAN("score_candidate");
-        CancelCheckpoint();  // per-candidate scoring checkpoint
-        size_t cand = candidates[k];
-        if (std::find(selected.begin(), selected.end(), cand) !=
-            selected.end()) {
-          return;
-        }
-        // Min-CI term: I(O;T|C,E). Individually unimportant attributes are
-        // excluded outright (Key Assumption, §2.2), as are single-attribute
-        // exposure identifiers (Lemma A.2).
-        double v1 = analysis.CmiGivenAttribute(cand);
-        if (v1 > analysis.BaseCmi() *
-                     (1.0 - options.individual_relevance_margin)) {
-          return;
-        }
-        if (options.exclude_exposure_traps && analysis.IsExposureTrap(cand)) {
-          return;
-        }
-        // Min-Redundancy term: mean redundancy against selected attributes.
-        double v2 = 0.0;
-        if (options.use_redundancy_term && !selected.empty()) {
-          for (size_t s : selected) {
-            v2 += options.normalize_redundancy
-                      ? red_scale * analysis.NormalizedRedundancy(cand, s)
-                      : analysis.PairwiseMi(cand, s);
-          }
-          v2 /= static_cast<double>(selected.size());
-        }
-        scores[k] = v1 + v2;
-      },
-      analysis.options().num_threads);
+  ParallelFor(0, candidates.size(), [&](size_t k) {
+    MESA_SPAN("score_candidate");
+    CancelCheckpoint();  // per-candidate scoring checkpoint
+    size_t cand = candidates[k];
+    if (std::find(selected.begin(), selected.end(), cand) !=
+        selected.end()) {
+      return;
+    }
+    // Min-CI term: I(O;T|C,E). Individually unimportant attributes are
+    // excluded outright (Key Assumption, §2.2), as are single-attribute
+    // exposure identifiers (Lemma A.2).
+    double v1 = analysis.CmiGivenAttribute(cand);
+    if (v1 > analysis.BaseCmi() *
+                 (1.0 - options.individual_relevance_margin)) {
+      return;
+    }
+    if (options.exclude_exposure_traps && analysis.IsExposureTrap(cand)) {
+      return;
+    }
+    // Min-Redundancy term: mean redundancy against selected attributes.
+    double v2 = 0.0;
+    if (options.use_redundancy_term && !selected.empty()) {
+      for (size_t s : selected) {
+        v2 += options.normalize_redundancy
+                  ? red_scale * analysis.NormalizedRedundancy(cand, s)
+                  : analysis.PairwiseMi(cand, s);
+      }
+      v2 /= static_cast<double>(selected.size());
+    }
+    scores[k] = v1 + v2;
+  });
   int best = -1;
   double best_score = inf;
   for (size_t k = 0; k < candidates.size(); ++k) {

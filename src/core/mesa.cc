@@ -44,12 +44,6 @@ Mesa::Mesa(Table base_table, const TripleStore* kg,
       kg_(kg),
       extraction_columns_(std::move(extraction_columns)),
       options_(std::move(options)) {
-  if (options_.prepare.num_threads == 0) {
-    options_.prepare.num_threads = options_.num_threads;
-  }
-  if (options_.extraction.num_threads == 0) {
-    options_.extraction.num_threads = options_.num_threads;
-  }
   if (kg != nullptr) WireEndpoint(std::make_shared<LocalEndpoint>(kg));
 }
 
@@ -59,12 +53,6 @@ Mesa::Mesa(Table base_table, std::shared_ptr<KgEndpoint> endpoint,
       kg_(endpoint == nullptr ? nullptr : endpoint->local_store()),
       extraction_columns_(std::move(extraction_columns)),
       options_(std::move(options)) {
-  if (options_.prepare.num_threads == 0) {
-    options_.prepare.num_threads = options_.num_threads;
-  }
-  if (options_.extraction.num_threads == 0) {
-    options_.extraction.num_threads = options_.num_threads;
-  }
   if (endpoint != nullptr) WireEndpoint(std::move(endpoint));
 }
 

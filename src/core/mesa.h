@@ -34,11 +34,6 @@ struct MesaOptions {
   /// grammar of kg/fault_injection.h. Empty = use the MESA_FAULT_PLAN
   /// environment variable; both empty = no fault layer.
   std::string fault_plan;
-  /// Concurrency cap for this instance's parallel paths (copied into
-  /// prepare.num_threads when that is 0). 0 = the global pool size
-  /// (MESA_NUM_THREADS env var / SetNumThreads). Explanations are
-  /// bit-identical at any value — see common/parallel.h.
-  size_t num_threads = 0;
 };
 
 /// Everything MESA produces for one query.

@@ -86,46 +86,43 @@ OnlinePruneResult OnlinePrune(const QueryAnalysis& analysis,
   // (identical to the serial loop at any thread count).
   constexpr int kKept = -1;
   std::vector<int> verdict(analysis.attributes().size(), kKept);
-  ParallelFor(
-      0, analysis.attributes().size(),
-      [&](size_t i) {
-        const PreparedAttribute& attr = analysis.attributes()[i];
-        const CodedVariable& e = attr.coded;
-        if (e.cardinality <= 1) {
-          verdict[i] = static_cast<int>(PruneReason::kConstant);
-          return;
-        }
-        const std::vector<double>* w =
-            attr.weights.empty() ? nullptr : &attr.weights;
+  ParallelFor(0, analysis.attributes().size(), [&](size_t i) {
+    const PreparedAttribute& attr = analysis.attributes()[i];
+    const CodedVariable& e = attr.coded;
+    if (e.cardinality <= 1) {
+      verdict[i] = static_cast<int>(PruneReason::kConstant);
+      return;
+    }
+    const std::vector<double>* w =
+        attr.weights.empty() ? nullptr : &attr.weights;
 
-        // Logical dependency / identification with the exposure or outcome
-        // — Lemma A.2 and its local form, shared with NextBestAtt through
-        // QueryAnalysis (see IsExposureTrap).
-        if (analysis.IsExposureTrap(i)) {
-          verdict[i] = static_cast<int>(PruneReason::kLogicalDependency);
-          return;
-        }
+    // Logical dependency / identification with the exposure or outcome
+    // — Lemma A.2 and its local form, shared with NextBestAtt through
+    // QueryAnalysis (see IsExposureTrap).
+    if (analysis.IsExposureTrap(i)) {
+      verdict[i] = static_cast<int>(PruneReason::kLogicalDependency);
+      return;
+    }
 
-        // Low relevance (appendix Relevance Test): (O ⟂ E | C) and
-        // (O ⟂ E | C, T) imply E cannot change I(O;T|C). The thresholds are
-        // bias-adjusted: the plug-in (C)MI of independent variables is
-        // biased upward by ~ K_z (K_x - 1)(K_y - 1) / (2 N ln 2), so an
-        // attribute only counts as relevant when it clears chance level.
-        const double ln2 = 0.6931471805599453;
-        double cells = static_cast<double>(e.cardinality - 1) *
-                       static_cast<double>(o.cardinality - 1);
-        double bias_marginal =
-            cells / (2.0 * static_cast<double>(n_rows) * ln2);
-        double bias_cond = bias_marginal * static_cast<double>(t.cardinality);
-        double mi_oe = ConditionalMutualInformation(o, e, trivial, w, eopts);
-        double cmi_oe_t = ConditionalMutualInformation(o, e, t, w, eopts);
-        if (mi_oe < options.relevance_epsilon + bias_marginal &&
-            cmi_oe_t < options.relevance_epsilon + bias_cond) {
-          verdict[i] = static_cast<int>(PruneReason::kLowRelevance);
-          return;
-        }
-      },
-      analysis.options().num_threads);
+    // Low relevance (appendix Relevance Test): (O ⟂ E | C) and
+    // (O ⟂ E | C, T) imply E cannot change I(O;T|C). The thresholds are
+    // bias-adjusted: the plug-in (C)MI of independent variables is
+    // biased upward by ~ K_z (K_x - 1)(K_y - 1) / (2 N ln 2), so an
+    // attribute only counts as relevant when it clears chance level.
+    const double ln2 = 0.6931471805599453;
+    double cells = static_cast<double>(e.cardinality - 1) *
+                   static_cast<double>(o.cardinality - 1);
+    double bias_marginal =
+        cells / (2.0 * static_cast<double>(n_rows) * ln2);
+    double bias_cond = bias_marginal * static_cast<double>(t.cardinality);
+    double mi_oe = ConditionalMutualInformation(o, e, trivial, w, eopts);
+    double cmi_oe_t = ConditionalMutualInformation(o, e, t, w, eopts);
+    if (mi_oe < options.relevance_epsilon + bias_marginal &&
+        cmi_oe_t < options.relevance_epsilon + bias_cond) {
+      verdict[i] = static_cast<int>(PruneReason::kLowRelevance);
+      return;
+    }
+  });
   for (size_t i = 0; i < verdict.size(); ++i) {
     if (verdict[i] == kKept) {
       result.kept_indices.push_back(i);

@@ -35,11 +35,6 @@ std::mutex g_caches_mu;
 std::shared_ptr<Caches> g_caches;  // created lazily under g_caches_mu
 std::vector<void (*)()> g_on_clear;  // guarded by g_caches_mu
 
-std::atomic<uint64_t> g_scalar_hits{0};
-std::atomic<uint64_t> g_scalar_misses{0};
-std::atomic<uint64_t> g_cube_hits{0};
-std::atomic<uint64_t> g_cube_misses{0};
-
 // -1 = follow the MESA_INFO_CACHE environment variable, 0/1 = forced.
 std::atomic<int> g_enabled_override{-1};
 
@@ -115,10 +110,10 @@ void OnClear(void (*clear)()) {
 
 Stats GetStats() {
   Stats s;
-  s.scalar_hits = g_scalar_hits.load(std::memory_order_relaxed);
-  s.scalar_misses = g_scalar_misses.load(std::memory_order_relaxed);
-  s.cube_hits = g_cube_hits.load(std::memory_order_relaxed);
-  s.cube_misses = g_cube_misses.load(std::memory_order_relaxed);
+  s.scalar_hits = metrics::CounterValue("info_cache/scalar_hit");
+  s.scalar_misses = metrics::CounterValue("info_cache/scalar_miss");
+  s.cube_hits = metrics::CounterValue("info_cache/cube_hit");
+  s.cube_misses = metrics::CounterValue("info_cache/cube_miss");
   auto caches = GetCaches();
   s.scalar_evictions = caches->scalar.evictions();
   s.cube_evictions = caches->cube.evictions();
@@ -146,11 +141,9 @@ uint64_t ScalarKey(uint64_t tag, const uint64_t* fps, size_t num_fps,
 
 bool LookupScalar(uint64_t key, double* value) {
   if (GetCaches()->scalar.Lookup(key, value)) {
-    g_scalar_hits.fetch_add(1, std::memory_order_relaxed);
     MESA_COUNT("info_cache/scalar_hit");
     return true;
   }
-  g_scalar_misses.fetch_add(1, std::memory_order_relaxed);
   MESA_COUNT("info_cache/scalar_miss");
   return false;
 }
@@ -180,11 +173,9 @@ uint64_t CubeKey(uint64_t fp_x, uint64_t fp_y, uint64_t fp_z,
 std::shared_ptr<const JointCube> LookupCube(uint64_t key) {
   std::shared_ptr<const JointCube> cube;
   if (GetCaches()->cube.Lookup(key, &cube)) {
-    g_cube_hits.fetch_add(1, std::memory_order_relaxed);
     MESA_COUNT("info_cache/cube_hit");
     return cube;
   }
-  g_cube_misses.fetch_add(1, std::memory_order_relaxed);
   MESA_COUNT("info_cache/cube_miss");
   return nullptr;
 }

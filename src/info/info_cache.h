@@ -27,9 +27,8 @@
 /// disables both layers entirely (the escape hatch; results are
 /// identical, only time and memory change), a number sets the cube
 /// budget in MB. SetEnabled()/SetCapacityForTest() override at runtime.
-/// Hit/miss/eviction counts are surfaced both through common/metrics
-/// counters ("info_cache/...", visible in `mesa_cli --metrics`) and
-/// through GetStats(), which works even in MESA_METRICS=OFF builds.
+/// Hit/miss/eviction counts are common/metrics counters ("info_cache/...",
+/// visible in `mesa_cli --metrics`); GetStats() reads the same counts.
 ///
 /// Thread-safety: everything here is safe to call concurrently; values
 /// are pure functions of their keys, so cache effects can change timing
@@ -97,8 +96,10 @@ void Clear();
 /// register themselves on first use, so one Clear() drops them all.
 void OnClear(void (*clear)());
 
-/// Cumulative counters, maintained independently of common/metrics so
-/// tests work in MESA_METRICS=OFF builds.
+/// Cumulative counts. Hits and misses are read from the registry counters
+/// info_cache/{scalar,cube}_{hit,miss}, so they pause while
+/// metrics::SetEnabled(false) and restart from zero on metrics::ResetAll();
+/// evictions come from the LRU tables themselves.
 struct Stats {
   uint64_t scalar_hits = 0;
   uint64_t scalar_misses = 0;

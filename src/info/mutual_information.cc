@@ -28,13 +28,12 @@ using info_internal::PackKey3;
 using info_internal::SumEntriesAscending;
 using info_internal::UnpackKey3;
 
-// Scalar-memo tags: which estimator family a memoized double belongs to.
-// MI through a cube kernel memoizes under the CMI tag (it *is* a CMI
-// with a constant conditioning axis), so the same expression reached via
-// either entry point shares one memo slot. The dense and packed kernels
-// share kTagCmi — they are bit-identical by the canonical-cube contract.
+// Scalar-memo tag of every (C)MI value. MI memoizes under it too (it
+// *is* a CMI with a constant conditioning axis), so the same expression
+// reached via either entry point shares one memo slot. The dense and
+// packed kernels share it — they are bit-identical by the canonical-cube
+// contract.
 constexpr uint64_t kTagCmi = 0x434D49;  // "CMI"
-constexpr uint64_t kTagMi = 0x4D49;     // "MI"
 
 enum class Kernel { kDense, kPacked, kFallback };
 
@@ -176,27 +175,16 @@ double MutualInformation(const CodedVariable& x, const CodedVariable& y,
   MESA_COUNT("info/mi_evals");
   MESA_SPAN("mi");
   CancelCheckpoint();  // per-estimator-evaluation checkpoint
-  // I(X;Y) = I(X;Y|const): every key width a cube kernel can serve goes
-  // through it with a constant conditioning axis, which is what lets MI
-  // evaluations share cubes (and memo slots) with CMI over the same
-  // pair — above as well as below the dense limit since the packed
-  // kernel arrived.
+  // I(X;Y) = I(X;Y|const): MI goes through a cube kernel with a constant
+  // conditioning axis, which is what lets MI evaluations share cubes (and
+  // memo slots) with CMI over the same pair.
   int bx = BitsFor(std::max<int32_t>(1, x.cardinality));
   int by = BitsFor(std::max<int32_t>(1, y.cardinality));
   const Kernel kernel = SelectKernel(bx + by + 1);
-  if (kernel != Kernel::kFallback) {
-    return CachedCubeCmi(x, y, TrivialFor(x.codes.size()), weights, options,
-                         bx, by, 1, kernel == Kernel::kDense);
-  }
-  return info_cache::Memoized(
-      kTagMi, {&x, &y}, weights, options.miller_madow,
-      [&](const uint64_t*, uint64_t) {
-        CodedVariable xy = CombinePair(x, y);
-        double h_x = Entropy(MaskTo(x, xy), weights, options);
-        double h_y = Entropy(MaskTo(y, xy), weights, options);
-        double h_xy = Entropy(xy, weights, options);
-        return std::max(0.0, h_x + h_y - h_xy);
-      });
+  // An int32_t cardinality needs at most 31 bits, so the key is <= 63.
+  MESA_DCHECK(kernel != Kernel::kFallback);
+  return CachedCubeCmi(x, y, TrivialFor(x.codes.size()), weights, options,
+                       bx, by, 1, kernel == Kernel::kDense);
 }
 
 double ConditionalMutualInformation(const CodedVariable& x,

@@ -240,7 +240,7 @@ void AssembleSlots(const std::vector<std::string>& keys,
   };
 
   rows->resize(keys.size());
-  if (keys.size() < kAssembleParallelThreshold || !DataPlaneParallel()) {
+  if (keys.size() < kAssembleParallelThreshold) {
     for (size_t i = 0; i < keys.size(); ++i) replay(i, stats, attr_names);
     return;
   }
@@ -355,11 +355,7 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
     slot.outcome = ValueSlot::Outcome::kLinked;
     GatherProperties(store, *link.entity, "", options.hops, &slot.props);
   };
-  if (DataPlaneParallel()) {
-    ParallelFor(0, keys.size(), process, options.num_threads);
-  } else {
-    for (size_t i = 0; i < keys.size(); ++i) process(i);
-  }
+  ParallelFor(0, keys.size(), process);
 
   ExtractedRows rows;
   std::set<std::string> attr_names;
@@ -382,8 +378,8 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
   ExtractionStats local_stats;
   local_stats.values_total = keys.size();
 
-  // Fills one slot through `c`, which may be the shared client (legacy
-  // serial path) or a per-value shard.
+  // Fills one slot through `c`, which may be the shared client (endpoints
+  // that cannot shard) or a per-value shard.
   std::vector<ValueSlot> slots(keys.size());
   auto process = [&](ResilientKgClient* c, size_t i) {
     CancelCheckpoint();  // per-value extraction checkpoint
@@ -406,21 +402,18 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
                            &slot.any_failure);
   };
 
-  if (client->SupportsSharding() && DataPlaneParallel()) {
+  if (client->SupportsSharding()) {
     // Each distinct value gets its own shard client (fresh clock, breaker,
     // cache over a cloned endpoint), so its retry/jitter/fault sequence is
     // a pure function of the value — never of which thread ran it or what
     // other values did first. The shard path is taken at *every* thread
     // count (including 1) so results cannot depend on the pool size even
     // under fault plans.
-    ParallelFor(
-        0, keys.size(),
-        [&](size_t i) {
-          std::unique_ptr<ResilientKgClient> shard = client->CloneForShard();
-          process(shard.get(), i);
-          slots[i].counters = shard->counters();
-        },
-        options.num_threads);
+    ParallelFor(0, keys.size(), [&](size_t i) {
+      std::unique_ptr<ResilientKgClient> shard = client->CloneForShard();
+      process(shard.get(), i);
+      slots[i].counters = shard->counters();
+    });
     ResilientKgClient::Counters total;
     for (const ValueSlot& slot : slots) {
       total.calls += slot.counters.calls;

@@ -31,12 +31,6 @@ struct ExtractionOptions {
   /// fetch — but a coverage below this floor returns an error Status
   /// instead of a silently hollow table. 0 (the default) never errors.
   double min_coverage = 0.0;
-  /// Concurrency cap for the per-value extraction scan (0 = the global
-  /// pool size). Linking and property flattening are independent per
-  /// distinct key value, so the scan shards the distinct-value dictionary
-  /// across workers; results are assembled serially in sorted key order
-  /// and are bit-identical at any thread count.
-  size_t num_threads = 0;
 };
 
 /// Bookkeeping about one extraction run; feeds Table 1 and the appendix's

@@ -23,7 +23,7 @@ using CounterMap = std::map<std::string, uint64_t>;
 const std::vector<std::string>& DefaultCounterPrefixes();
 
 /// Current values of every process-local metrics counter whose name
-/// starts with one of `prefixes`. Empty under -DMESA_METRICS=OFF.
+/// starts with one of `prefixes`.
 CounterMap ReadProcessCounters(const std::vector<std::string>& prefixes);
 
 /// Same, but from a daemon's `metrics`-verb JSON snapshot — how the

@@ -200,7 +200,7 @@ Result<GroupByResult> GroupByAggregate(
   // bit-identical in tests/query_parallel_test.cc.
   std::map<std::vector<Value>, AggregateAccumulator> accs;
 
-  if (n < kGroupByParallelThreshold || !DataPlaneParallel()) {
+  if (n < kGroupByParallelThreshold) {
     std::vector<Value> key(gcols.size());
     for (size_t r = 0; r < n; ++r) {
       // Cancellation checkpoint at morsel granularity, mirroring the

@@ -39,7 +39,7 @@ Result<JoinIndex> JoinIndex::Build(const Table& right,
   index.right_key_ = right_key;
 
   const size_t n = right.num_rows();
-  if (n < kJoinParallelThreshold || !DataPlaneParallel()) {
+  if (n < kJoinParallelThreshold) {
     for (size_t r = 0; r < n; ++r) {
       if (r % kJoinMorselRows == 0) CancelCheckpoint();
       if (rkey->IsNull(r)) continue;
@@ -119,7 +119,7 @@ Result<Table> HashJoin(const Table& left, const std::string& left_key,
   std::vector<size_t> left_rows;
   std::vector<int64_t> right_rows;  // -1 = unmatched (left join)
   const size_t n = left.num_rows();
-  if (n < kJoinParallelThreshold || !DataPlaneParallel()) {
+  if (n < kJoinParallelThreshold) {
     left_rows.reserve(n);
     right_rows.reserve(n);
     for (size_t r = 0; r < n; ++r) {
@@ -211,7 +211,7 @@ Result<Table> HashJoin(const Table& left, const std::string& left_key,
     }
   };
   const size_t out_rows = right_rows.size();
-  if (out_rows >= kJoinParallelThreshold && DataPlaneParallel()) {
+  if (out_rows >= kJoinParallelThreshold) {
     // Morsel-parallel over (column x fixed row chunk) fragments — so even
     // a single wide gather scales — concatenated per column in chunk
     // order. AppendFrom copies fragment runs verbatim, so the assembled

@@ -536,7 +536,7 @@ Column Column::Take(const std::vector<size_t>& rows) const {
     return 0;
   };
 
-  if (n < kTakeParallelThreshold || !DataPlaneParallel()) {
+  if (n < kTakeParallelThreshold) {
     out.null_count_ = gather(0, n);
   } else {
     // Morsel-parallel gather: fixed chunks, each writing its own disjoint

@@ -87,7 +87,7 @@ Table Table::TakeRows(const std::vector<size_t>& rows) const {
   out.columns_.reserve(columns_.size());
   // Column gathers are independent, so large takes run one column per
   // task; each column's output is identical to its serial Take.
-  if (columns_.size() > 1 && rows.size() >= 4096 && DataPlaneParallel()) {
+  if (columns_.size() > 1 && rows.size() >= 4096) {
     for (const auto& col : columns_) out.columns_.emplace_back(col.type());
     ParallelFor(0, columns_.size(),
                 [&](size_t c) { out.columns_[c] = columns_[c].Take(rows); });

@@ -295,8 +295,8 @@ int RunExplain(const Flags& flags) {
   }
 
   // --metrics / --metrics=FILE: one JSON object with every counter and
-  // span distribution recorded during this run (empty when the build has
-  // MESA_METRICS=OFF; see docs/observability.md for the schema).
+  // span distribution recorded during this run (see docs/observability.md
+  // for the schema).
   if (flags.Has("metrics")) {
     std::string json = metrics::SnapshotJson();
     std::string path = flags.Get("metrics");

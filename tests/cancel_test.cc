@@ -122,10 +122,9 @@ TEST(CancelPropagation, PoolWorkersSeeTheSubmittersToken) {
   CancelScope scope(token);
   constexpr size_t kTasks = 32;
   std::vector<int> saw_token(kTasks, 0);
-  ParallelFor(
-      0, kTasks,
-      [&](size_t i) { saw_token[i] = CurrentCancelToken() == token ? 1 : 0; },
-      4);
+  ParallelFor(0, kTasks, [&](size_t i) {
+    saw_token[i] = CurrentCancelToken() == token ? 1 : 0;
+  });
   SetNumThreads(saved);
   for (size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(saw_token[i], 1) << "task " << i << " lost the token";
@@ -140,8 +139,7 @@ TEST(CancelPropagation, CheckpointInWorkerUnwindsOutOfParallelFor) {
   CancelScope scope(token);
   bool caught = false;
   try {
-    ParallelFor(
-        0, 16, [&](size_t) { CancelCheckpoint(); }, 4);
+    ParallelFor(0, 16, [&](size_t) { CancelCheckpoint(); });
   } catch (const CancelledError& e) {
     caught = true;
     EXPECT_EQ(e.status().code(), StatusCode::kCancelled);
@@ -159,13 +157,12 @@ TEST(CancelPropagation, PoolSurvivesACancelledRun) {
     auto token = std::make_shared<CancelToken>();
     token->Cancel();
     CancelScope scope(token);
-    EXPECT_THROW(
-        ParallelFor(0, 16, [&](size_t) { CancelCheckpoint(); }, 4),
-        CancelledError);
+    EXPECT_THROW(ParallelFor(0, 16, [&](size_t) { CancelCheckpoint(); }),
+                 CancelledError);
   }
   std::atomic<size_t> ran{0};
-  ParallelFor(
-      0, 16, [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); }, 4);
+  ParallelFor(0, 16,
+              [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
   SetNumThreads(saved);
   EXPECT_EQ(ran.load(), 16u);
 }

@@ -81,11 +81,9 @@ TEST(MesaCli, GenExplainRoundTrip) {
   std::string metrics_json = Slurp(metrics);
   ASSERT_FALSE(metrics_json.empty());
   EXPECT_EQ(metrics_json.front(), '{');
-#if MESA_METRICS_ENABLED
   EXPECT_NE(metrics_json.find("\"info/cmi_evals\""), std::string::npos);
   EXPECT_NE(metrics_json.find("\"qa/single_cmi/miss\""), std::string::npos);
   EXPECT_NE(metrics_json.find("\"explain/mcimr\""), std::string::npos);
-#endif
   std::remove(metrics.c_str());
 
   std::remove((prefix + ".csv").c_str());
@@ -142,6 +140,48 @@ TEST(MesaCli, UsageAndErrorPaths) {
   std::remove((prefix + ".csv").c_str());
   std::remove((prefix + ".kg").c_str());
   std::remove(out.c_str());
+}
+
+// MESA_NUM_THREADS must be a whole positive integer. Anything else is
+// reported once on stderr and the pool falls back to the hardware default;
+// the report is the same as at any valid thread count.
+TEST(MesaCli, BadThreadCountWarnsAndUsesHardwareDefault) {
+  std::string cli = CliPath();
+  if (cli.empty()) GTEST_SKIP() << "mesa_cli binary not found";
+  std::string prefix = testing::TempDir() + "/mesa_cli_threads_world";
+  std::string out = testing::TempDir() + "/mesa_cli_threads_out.txt";
+  std::string err = testing::TempDir() + "/mesa_cli_threads_err.txt";
+  ASSERT_EQ(ExitCode(cli + " gen --dataset covid --out " + prefix + " > " +
+                     out + " 2>&1"),
+            0);
+  const std::string explain =
+      " explain --data " + prefix + ".csv --kg " + prefix +
+      ".kg --extract Country,WHO_Region --query \"SELECT Country, "
+      "avg(Deaths_per_100_cases) FROM covid GROUP BY Country\"";
+  auto run = [&](const std::string& threads) {
+    return ExitCode("MESA_NUM_THREADS='" + threads + "' " + cli + explain +
+                    " > " + out + " 2> " + err);
+  };
+
+  ASSERT_EQ(run("2"), 0) << Slurp(err);
+  const std::string report = Slurp(out);
+  ASSERT_FALSE(report.empty());
+  EXPECT_EQ(Slurp(err).find("MESA_NUM_THREADS"), std::string::npos);
+
+  for (const char* bad : {"0", "-2", "4abc", " 4", "abc"}) {
+    ASSERT_EQ(run(bad), 0) << bad << ": " << Slurp(err);
+    EXPECT_EQ(Slurp(out), report) << bad;
+    const std::string log = Slurp(err);
+    EXPECT_NE(log.find("MESA_NUM_THREADS=\"" + std::string(bad) + "\""),
+              std::string::npos)
+        << bad << ": " << log;
+    EXPECT_EQ(log.find("MESA_NUM_THREADS"), log.rfind("MESA_NUM_THREADS"))
+        << "expected one warning for " << bad << ": " << log;
+  }
+  std::remove((prefix + ".csv").c_str());
+  std::remove((prefix + ".kg").c_str());
+  std::remove(out.c_str());
+  std::remove(err.c_str());
 }
 
 }  // namespace

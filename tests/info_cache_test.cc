@@ -273,8 +273,7 @@ TEST(InfoCacheProperty, EvictionPressureNeverChangesResults) {
 
 // ------------------------------------------------------------ statistics
 
-// Stats come from the cache's own atomics, so they work in
-// MESA_METRICS=OFF builds too.
+// Stats read the registry counters info_cache/{scalar,cube}_{hit,miss}.
 TEST(InfoCacheStats, HitsAndMissesAreCounted) {
   ResetCache();
   Rng rng(99);

@@ -197,7 +197,6 @@ TEST(CmiKernelCache, JointCubeSharedAboveDenseBitLimit) {
   EXPECT_GT(m1.cube_hits, m0.cube_hits);
 }
 
-#if MESA_METRICS_ENABLED
 // Selection routes by key width: narrow triples to the dense arena, wide
 // ones to the packed kernel — observable in the selection counters.
 TEST(CmiKernelCounters, AutoSelectsByKeyWidth) {
@@ -221,7 +220,6 @@ TEST(CmiKernelCounters, AutoSelectsByKeyWidth) {
   ConditionalMutualInformation(wx, wy, wz);
   EXPECT_EQ(metrics::CounterValue("info/kernel_packed"), packed0 + 1);
 }
-#endif  // MESA_METRICS_ENABLED
 
 }  // namespace
 }  // namespace mesa

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "core/mesa.h"
 #include "core/report_format.h"
 #include "datagen/registry.h"
@@ -33,18 +34,32 @@ struct RunOutcome {
   ExtractionStats stats;
 };
 
+// Resizes the global pool for one run and restores it afterwards.
+class PoolSizeGuard {
+ public:
+  explicit PoolSizeGuard(size_t threads) : saved_(NumThreads()) {
+    SetNumThreads(threads);
+  }
+  ~PoolSizeGuard() { SetNumThreads(saved_); }
+  PoolSizeGuard(const PoolSizeGuard&) = delete;
+  PoolSizeGuard& operator=(const PoolSizeGuard&) = delete;
+
+ private:
+  size_t saved_;
+};
+
 // Runs the full covid pipeline (explain + subgroups, exactly the golden
-// test's shape) under `fault_plan` with `num_threads` lanes.
+// test's shape) under `fault_plan` on a pool of `num_threads` lanes.
 Result<RunOutcome> RunCovid(const std::string& fault_plan,
                             size_t num_threads,
                             double min_coverage = 0.0) {
+  PoolSizeGuard pool(num_threads);
   auto ds = MakeDataset(DatasetKind::kCovid, GenOptions{});
   MESA_RETURN_IF_ERROR(ds.status());
   auto query = ParseQuery(kQuery);
   MESA_RETURN_IF_ERROR(query.status());
 
   MesaOptions options;
-  options.num_threads = num_threads;
   options.fault_plan = fault_plan;
   options.extraction.min_coverage = min_coverage;
 

@@ -24,11 +24,7 @@ TEST(MetricsCounter, SingleThreadExact) {
   const uint64_t before = c.Value();
   for (int i = 0; i < 1000; ++i) MESA_COUNT("test/counter_single");
   MESA_COUNT_N("test/counter_single", 42);
-#if MESA_METRICS_ENABLED
   EXPECT_EQ(c.Value() - before, 1042u);
-#else
-  EXPECT_EQ(c.Value() - before, 0u);
-#endif
 }
 
 TEST(MetricsCounter, MultiThreadSumsMatch) {
@@ -42,11 +38,7 @@ TEST(MetricsCounter, MultiThreadSumsMatch) {
     if (i % 10 == 0) MESA_COUNT_N("test/counter_mt", 2);
   });
   SetNumThreads(prev_threads);
-#if MESA_METRICS_ENABLED
   EXPECT_EQ(c.Value() - before, kIters + 2 * (kIters / 10));
-#else
-  EXPECT_EQ(c.Value() - before, 0u);
-#endif
 }
 
 TEST(MetricsCounter, RuntimeDisableStopsCollection) {
@@ -57,11 +49,7 @@ TEST(MetricsCounter, RuntimeDisableStopsCollection) {
   metrics::SetEnabled(true);
   EXPECT_EQ(c.Value() - before, 0u);
   MESA_COUNT("test/counter_disabled");
-#if MESA_METRICS_ENABLED
   EXPECT_EQ(c.Value() - before, 1u);
-#else
-  EXPECT_EQ(c.Value() - before, 0u);
-#endif
 }
 
 TEST(MetricsCounter, CounterValueLookupDoesNotCreate) {
@@ -105,7 +93,6 @@ TEST(MetricsDistribution, MultiThreadRecordsAllLand) {
 }
 
 TEST(MetricsSpan, NestedSpansBuildSlashPaths) {
-#if MESA_METRICS_ENABLED
   const std::string outer = "test_span_outer";
   const std::string inner = "test_span_inner";
   const uint64_t outer_before =
@@ -124,13 +111,9 @@ TEST(MetricsSpan, NestedSpansBuildSlashPaths) {
   EXPECT_EQ(metrics::GetDistribution(outer + "/" + inner).GetStats().count -
                 nested_before,
             1u);
-#else
-  GTEST_SKIP() << "metrics compiled out (MESA_METRICS=OFF)";
-#endif
 }
 
 TEST(MetricsSpan, PathPropagatesIntoPoolWorkers) {
-#if MESA_METRICS_ENABLED
   const size_t prev_threads = NumThreads();
   SetNumThreads(4);
   const std::string nested = "test_prop_outer/test_prop_unit";
@@ -145,9 +128,6 @@ TEST(MetricsSpan, PathPropagatesIntoPoolWorkers) {
   // pool thread ran it — paths are invariant to the pool size.
   EXPECT_EQ(metrics::GetDistribution(nested).GetStats().count - before,
             kTasks);
-#else
-  GTEST_SKIP() << "metrics compiled out (MESA_METRICS=OFF)";
-#endif
 }
 
 TEST(MetricsRegistry, ResetZeroesButKeepsHandles) {
@@ -184,7 +164,6 @@ TEST(MetricsRegistry, JsonSnapshotShape) {
 // End-to-end: running the pipeline populates the counters the paper's
 // evaluation reports (CMI evaluations, cache hits/misses, span timings).
 TEST(MetricsPipeline, ExplainPopulatesPipelineMetrics) {
-#if MESA_METRICS_ENABLED
   auto ds = MakeDataset(DatasetKind::kCovid, GenOptions{});
   ASSERT_TRUE(ds.ok());
   const uint64_t cmi_before = CounterValue("info/cmi_evals");
@@ -197,9 +176,6 @@ TEST(MetricsPipeline, ExplainPopulatesPipelineMetrics) {
   std::string json = metrics::SnapshotJson();
   EXPECT_NE(json.find("\"explain\""), std::string::npos);
   EXPECT_NE(json.find("\"explain/prepare_query\""), std::string::npos);
-#else
-  GTEST_SKIP() << "metrics compiled out (MESA_METRICS=OFF)";
-#endif
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -62,13 +61,6 @@ TEST(ParallelFor, ChunksCoverRangeWithoutOverlap) {
   });
   for (size_t i = 0; i < kBegin; ++i) ASSERT_EQ(hits[i], 0);
   for (size_t i = kBegin; i < kEnd; ++i) ASSERT_EQ(hits[i], 1);
-}
-
-TEST(ParallelFor, MaxThreadsCapRespectsResults) {
-  SetNumThreads(8);
-  std::vector<int> hits(100, 0);
-  ParallelFor(0, 100, [&](size_t i) { hits[i]++; }, /*max_threads=*/2);
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
 }
 
 TEST(ParallelFor, NestedCallsRunInline) {

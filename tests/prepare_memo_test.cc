@@ -186,7 +186,6 @@ TEST_F(PrepareMemoTest, MemoOnAndOffAreBitIdenticalAcrossSeedsAndThreads) {
 // -------------------------------------- a second Mesa pays for no prepare
 
 TEST_F(PrepareMemoTest, SecondMesaRunsNoFitsAndNoBiasTests) {
-  if (!MESA_METRICS_ENABLED) GTEST_SKIP() << "counters compiled out";
   const Table table = MakeWorld(77);
   const uint64_t fits0 = Counter("missing/ipw_fits");
   const uint64_t tests0 = BiasCiTests();
@@ -212,7 +211,6 @@ TEST_F(PrepareMemoTest, SecondMesaRunsNoFitsAndNoBiasTests) {
 // With the cache gate off (MESA_INFO_CACHE=OFF) the memo is never
 // consulted: every explain tests and fits afresh.
 TEST_F(PrepareMemoTest, DisabledCacheBypassesTheMemo) {
-  if (!MESA_METRICS_ENABLED) GTEST_SKIP() << "counters compiled out";
   info_cache::SetEnabled(false);
   const Table table = MakeWorld(78);
   const uint64_t lookups = Counter("missing/bias_memo/hit") +
@@ -231,7 +229,6 @@ TEST_F(PrepareMemoTest, DisabledCacheBypassesTheMemo) {
 // ------------------------------------------- key coverage: changes miss
 
 TEST_F(PrepareMemoTest, ChangedOptionsOrCovariatesMissTheMemo) {
-  if (!MESA_METRICS_ENABLED) GTEST_SKIP() << "counters compiled out";
   const Table table = MakeWorld(5);
   // Candidates with nulls: biased, random, blocky, empty.
   constexpr uint64_t kWithNulls = 4;

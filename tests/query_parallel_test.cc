@@ -1,13 +1,17 @@
 // Bit-identity tests for the morsel-driven parallel data plane: group-by
 // aggregation, hash join (including the reusable JoinIndex), TakeRows, and
 // per-value KG extraction must produce byte-identical outputs at 1, 2, and
-// 8 threads — and identical to the serial reference loops behind
-// SetDataPlaneParallel(false). Same pattern as parallel_test.cc; this
-// binary is a TSan target alongside it (see .github/workflows/ci.yml).
+// 8 threads, on both sides of the operators' parallel thresholds. Each is
+// checked against an independent oracle written here: a naive std::map
+// group-by, a first-occurrence join, a per-cell TakeRows check, and the
+// TripleStore walk at one thread for extraction. Same pattern as
+// parallel_test.cc; this binary is a TSan target alongside it (see
+// .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "kg/endpoint.h"
 #include "kg/extractor.h"
 #include "kg/resilient_client.h"
+#include "query/aggregate.h"
 #include "query/group_by.h"
 #include "query/join.h"
 #include "query/predicate.h"
@@ -26,15 +31,15 @@
 namespace mesa {
 namespace {
 
-// Restores the global pool and the data-plane toggle when a test exits.
+// Restores the global pool when a test exits.
 struct PoolGuard {
-  ~PoolGuard() {
-    SetDataPlaneParallel(true);
-    SetNumThreads(1);
-  }
+  ~PoolGuard() { SetNumThreads(1); }
 };
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
+
+// Row counts on both sides of the operators' 4096-row parallel threshold.
+constexpr size_t kRowCounts[] = {3000, 6000};
 
 // A seeded random table big enough to cross the parallel thresholds:
 //   k_str  string key, ~20 distinct values (nullable)
@@ -86,8 +91,8 @@ void ExpectGroupByEqual(const GroupByResult& a, const GroupByResult& b,
   for (size_t g = 0; g < a.groups.size(); ++g) {
     EXPECT_TRUE(a.groups[g].group == b.groups[g].group) << what << " g" << g;
     EXPECT_TRUE(a.groups[g].values == b.groups[g].values) << what << " g" << g;
-    // Bitwise: the parallel path must preserve the serial FP accumulation
-    // order, not just be "close".
+    // Bitwise: the operator must preserve the row-order FP accumulation,
+    // not just be "close".
     EXPECT_EQ(a.groups[g].aggregate, b.groups[g].aggregate)
         << what << " g" << g;
     EXPECT_EQ(a.groups[g].count, b.groups[g].count) << what << " g" << g;
@@ -106,6 +111,101 @@ void ExpectTablesEqual(const Table& a, const Table& b,
   }
 }
 
+// Naive group-by oracle: one std::map keyed by the value tuple, fed the
+// surviving rows in row order. Every accumulator sees the Add sequence
+// GroupByAggregate promises, so the operator must match it bit for bit.
+GroupByResult OracleGroupBy(const Table& table,
+                            const std::vector<std::string>& group_cols,
+                            const std::string& outcome_col,
+                            AggregateFunction agg,
+                            const Conjunction& context = {}) {
+  std::vector<const Column*> gcols;
+  for (const std::string& name : group_cols) {
+    gcols.push_back(*table.ColumnByName(name));
+  }
+  const Column* ocol = *table.ColumnByName(outcome_col);
+  const std::vector<uint8_t> mask = *context.EvaluateMask(table);
+  GroupByResult out;
+  std::map<std::vector<Value>, AggregateAccumulator> accs;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (!mask[r]) continue;
+    ++out.input_rows;
+    if (ocol->IsNull(r)) continue;
+    std::vector<Value> key;
+    for (const Column* c : gcols) key.push_back(c->GetValue(r));
+    bool null_key = false;
+    for (const Value& v : key) null_key = null_key || v.is_null();
+    if (null_key) continue;
+    accs.try_emplace(key, agg).first->second.Add(ocol->NumericAt(r));
+  }
+  for (const auto& [key, acc] : accs) {
+    GroupResult g;
+    g.group = key.front();
+    g.values = key;
+    g.aggregate = *acc.Finalize();
+    g.count = acc.count();
+    out.groups.push_back(std::move(g));
+  }
+  return out;
+}
+
+// Naive join oracle: right key -> first right row holding it, probed left
+// row by left row. Checks the schema and every output cell of `joined`.
+void ExpectJoinMatchesOracle(const Table& left, const std::string& left_key,
+                             const Table& right, const std::string& right_key,
+                             JoinType type, const Table& joined,
+                             const std::string& what) {
+  const Column* rkey = *right.ColumnByName(right_key);
+  std::map<Value, size_t> first_row;
+  for (size_t r = 0; r < right.num_rows(); ++r) {
+    if (!rkey->IsNull(r)) first_row.emplace(rkey->GetValue(r), r);
+  }
+  std::vector<size_t> right_cols;
+  for (size_t c = 0; c < right.num_columns(); ++c) {
+    if (right.schema().field(c).name != right_key) right_cols.push_back(c);
+  }
+  const size_t nl = left.num_columns();
+  ASSERT_EQ(joined.num_columns(), nl + right_cols.size()) << what;
+  auto same_field = [](const Field& a, const Field& b) {
+    return a.name == b.name && a.type == b.type;
+  };
+  for (size_t c = 0; c < nl; ++c) {
+    ASSERT_TRUE(same_field(joined.schema().field(c), left.schema().field(c)))
+        << what << " col " << c;
+  }
+  for (size_t k = 0; k < right_cols.size(); ++k) {
+    ASSERT_TRUE(same_field(joined.schema().field(nl + k),
+                           right.schema().field(right_cols[k])))
+        << what << " col " << nl + k;
+  }
+
+  const Column* lkey = *left.ColumnByName(left_key);
+  size_t out = 0;
+  for (size_t l = 0; l < left.num_rows(); ++l) {
+    int64_t match = -1;
+    if (!lkey->IsNull(l)) {
+      auto it = first_row.find(lkey->GetValue(l));
+      if (it != first_row.end()) match = static_cast<int64_t>(it->second);
+    }
+    if (match < 0 && type == JoinType::kInner) continue;
+    ASSERT_LT(out, joined.num_rows()) << what;
+    for (size_t c = 0; c < nl; ++c) {
+      ASSERT_TRUE(joined.column(c).GetValue(out) == left.column(c).GetValue(l))
+          << what << " left col " << c << " row " << out;
+    }
+    for (size_t k = 0; k < right_cols.size(); ++k) {
+      const Value expected =
+          match < 0 ? Value::Null()
+                    : right.column(right_cols[k]).GetValue(
+                          static_cast<size_t>(match));
+      ASSERT_TRUE(joined.column(nl + k).GetValue(out) == expected)
+          << what << " right col " << k << " row " << out;
+    }
+    ++out;
+  }
+  ASSERT_EQ(out, joined.num_rows()) << what;
+}
+
 // ------------------------------------------------------------- group-by
 
 TEST(QueryParallel, GroupByBitIdenticalAcrossThreadCounts) {
@@ -114,42 +214,35 @@ TEST(QueryParallel, GroupByBitIdenticalAcrossThreadCounts) {
       AggregateFunction::kAvg, AggregateFunction::kSum,
       AggregateFunction::kCount, AggregateFunction::kMedian,
       AggregateFunction::kStdDev};
+  const std::vector<std::string> single = {"k_str"};
+  const std::vector<std::string> multi = {"k_str", "k_int"};
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     // Odd seeds are null-heavy (~40% null keys), even seeds mild.
     const double null_rate = (seed % 2 == 1) ? 0.4 : 0.05;
-    Table table = MakeRandomTable(seed, 6000, null_rate);
     const AggregateFunction agg = aggs[seed % 5];
-
-    SetDataPlaneParallel(false);
-    SetNumThreads(1);
-    auto serial = GroupByAggregate(table, "k_str", "x", agg);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    auto serial_multi = GroupByAggregate(
-        table, std::vector<std::string>{"k_str", "k_int"}, "x", agg);
-    ASSERT_TRUE(serial_multi.ok());
-
-    SetDataPlaneParallel(true);
-    for (size_t threads : kThreadCounts) {
-      SetNumThreads(threads);
-      auto parallel = GroupByAggregate(table, "k_str", "x", agg);
-      ASSERT_TRUE(parallel.ok());
-      ExpectGroupByEqual(*serial, *parallel,
-                         "seed " + std::to_string(seed) + " threads " +
-                             std::to_string(threads));
-      auto parallel_multi = GroupByAggregate(
-          table, std::vector<std::string>{"k_str", "k_int"}, "x", agg);
-      ASSERT_TRUE(parallel_multi.ok());
-      ExpectGroupByEqual(*serial_multi, *parallel_multi,
-                         "multi seed " + std::to_string(seed) + " threads " +
-                             std::to_string(threads));
+    for (size_t rows : kRowCounts) {
+      Table table = MakeRandomTable(seed, rows, null_rate);
+      const GroupByResult expected = OracleGroupBy(table, single, "x", agg);
+      const GroupByResult expected_multi =
+          OracleGroupBy(table, multi, "x", agg);
+      for (size_t threads : kThreadCounts) {
+        SetNumThreads(threads);
+        const std::string what = "seed " + std::to_string(seed) + " rows " +
+                                 std::to_string(rows) + " threads " +
+                                 std::to_string(threads);
+        auto got = GroupByAggregate(table, single, "x", agg);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectGroupByEqual(expected, *got, what);
+        auto got_multi = GroupByAggregate(table, multi, "x", agg);
+        ASSERT_TRUE(got_multi.ok());
+        ExpectGroupByEqual(expected_multi, *got_multi, "multi " + what);
+      }
     }
   }
 }
 
 TEST(QueryParallel, GroupByWithContextAndEmptyResult) {
   PoolGuard guard;
-  Table table = MakeRandomTable(7, 8000, 0.3);
-
   // A context that matches a slice of the input.
   Conjunction some;
   some.Add({"k_int", CompareOp::kLe, Value::Int(5), {}});
@@ -157,28 +250,26 @@ TEST(QueryParallel, GroupByWithContextAndEmptyResult) {
   Conjunction none;
   none.Add({"k_str", CompareOp::kEq, Value::String("no_such_key"), {}});
 
-  SetDataPlaneParallel(false);
-  SetNumThreads(1);
-  auto serial_some =
-      GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, some);
-  auto serial_none =
-      GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, none);
-  ASSERT_TRUE(serial_some.ok());
-  ASSERT_TRUE(serial_none.ok());
-  EXPECT_EQ(serial_none->input_rows, 0u);
-  EXPECT_TRUE(serial_none->groups.empty());
-
-  SetDataPlaneParallel(true);
-  for (size_t threads : kThreadCounts) {
-    SetNumThreads(threads);
-    auto par_some =
-        GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, some);
-    auto par_none =
-        GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, none);
-    ASSERT_TRUE(par_some.ok());
-    ASSERT_TRUE(par_none.ok());
-    ExpectGroupByEqual(*serial_some, *par_some, "context slice");
-    ExpectGroupByEqual(*serial_none, *par_none, "empty context");
+  for (size_t rows : kRowCounts) {
+    Table table = MakeRandomTable(7, rows, 0.3);
+    const std::vector<std::string> key = {"k_str"};
+    const GroupByResult expected_some =
+        OracleGroupBy(table, key, "x", AggregateFunction::kAvg, some);
+    const GroupByResult expected_none =
+        OracleGroupBy(table, key, "x", AggregateFunction::kAvg, none);
+    EXPECT_EQ(expected_none.input_rows, 0u);
+    EXPECT_TRUE(expected_none.groups.empty());
+    for (size_t threads : kThreadCounts) {
+      SetNumThreads(threads);
+      auto par_some =
+          GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, some);
+      auto par_none =
+          GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, none);
+      ASSERT_TRUE(par_some.ok());
+      ASSERT_TRUE(par_none.ok());
+      ExpectGroupByEqual(expected_some, *par_some, "context slice");
+      ExpectGroupByEqual(expected_none, *par_none, "empty context");
+    }
   }
 }
 
@@ -215,26 +306,23 @@ TEST(QueryParallel, HashJoinBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const double null_rate = (seed % 2 == 1) ? 0.4 : 0.05;
-    Table left = MakeRandomTable(seed, 6000, null_rate);
     Table right = MakeRightTable(seed + 100);
-
-    for (JoinType type : {JoinType::kLeft, JoinType::kInner}) {
-      JoinOptions options;
-      options.type = type;
-      SetDataPlaneParallel(false);
-      SetNumThreads(1);
-      auto serial = HashJoin(left, "k_str", right, "k_str", options);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-      SetDataPlaneParallel(true);
-      for (size_t threads : kThreadCounts) {
-        SetNumThreads(threads);
-        auto parallel = HashJoin(left, "k_str", right, "k_str", options);
-        ASSERT_TRUE(parallel.ok());
-        ExpectTablesEqual(*serial, *parallel,
-                          "seed " + std::to_string(seed) + " threads " +
-                              std::to_string(threads) + " type " +
-                              (type == JoinType::kLeft ? "left" : "inner"));
+    for (size_t rows : kRowCounts) {
+      Table left = MakeRandomTable(seed, rows, null_rate);
+      for (JoinType type : {JoinType::kLeft, JoinType::kInner}) {
+        JoinOptions options;
+        options.type = type;
+        for (size_t threads : kThreadCounts) {
+          SetNumThreads(threads);
+          auto joined = HashJoin(left, "k_str", right, "k_str", options);
+          ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+          ExpectJoinMatchesOracle(
+              left, "k_str", right, "k_str", type, *joined,
+              "seed " + std::to_string(seed) + " rows " +
+                  std::to_string(rows) + " threads " +
+                  std::to_string(threads) + " type " +
+                  (type == JoinType::kLeft ? "left" : "inner"));
+        }
       }
     }
   }
@@ -264,21 +352,25 @@ TEST(QueryParallel, TakeRowsBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   Table table = MakeRandomTable(11, 9000, 0.3);
   Rng rng(99);
-  std::vector<size_t> rows;
-  for (size_t i = 0; i < 7000; ++i) {
-    rows.push_back(static_cast<size_t>(rng.NextBelow(table.num_rows())));
-  }
-
-  SetDataPlaneParallel(false);
-  SetNumThreads(1);
-  Table serial = table.TakeRows(rows);
-
-  SetDataPlaneParallel(true);
-  for (size_t threads : kThreadCounts) {
-    SetNumThreads(threads);
-    Table parallel = table.TakeRows(rows);
-    ExpectTablesEqual(serial, parallel,
-                      "TakeRows threads " + std::to_string(threads));
+  for (size_t count : {size_t{2000}, size_t{7000}}) {
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < count; ++i) {
+      rows.push_back(static_cast<size_t>(rng.NextBelow(table.num_rows())));
+    }
+    for (size_t threads : kThreadCounts) {
+      SetNumThreads(threads);
+      Table taken = table.TakeRows(rows);
+      ASSERT_EQ(taken.schema().ToString(), table.schema().ToString());
+      ASSERT_EQ(taken.num_rows(), rows.size());
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        for (size_t i = 0; i < rows.size(); ++i) {
+          ASSERT_TRUE(taken.column(c).GetValue(i) ==
+                      table.column(c).GetValue(rows[i]))
+              << "take " << count << " threads " << threads << " col " << c
+              << " row " << i;
+        }
+      }
+    }
   }
 }
 
@@ -302,44 +394,33 @@ TEST(QueryParallel, ExtractionBitIdenticalAcrossThreadCounts) {
 
   for (const std::string& column : {std::string("Country"),
                                     std::string("WHO_Region")}) {
-    // Serial references: the raw TripleStore walk and the shared-client
-    // loop with the data plane off.
-    SetDataPlaneParallel(false);
+    // Reference: the raw TripleStore walk on one thread.
     SetNumThreads(1);
-    ExtractionStats store_stats;
-    auto store_serial =
-        ExtractAttributes(ds->table, column, *ds->kg, options, &store_stats);
-    ASSERT_TRUE(store_serial.ok()) << store_serial.status().ToString();
-    ResilientKgClient serial_client(
-        std::make_shared<LocalEndpoint>(ds->kg.get()));
-    ExtractionStats client_stats;
-    auto client_serial = ExtractAttributes(ds->table, column, &serial_client,
-                                           options, &client_stats);
-    ASSERT_TRUE(client_serial.ok());
-    // Fault-free client extraction matches the raw TripleStore walk.
-    ExpectTablesEqual(*store_serial, *client_serial, "client vs store");
-    ExpectStatsEqual(store_stats, client_stats);
+    ExtractionStats ref_stats;
+    auto reference =
+        ExtractAttributes(ds->table, column, *ds->kg, options, &ref_stats);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-    SetDataPlaneParallel(true);
     for (size_t threads : kThreadCounts) {
       SetNumThreads(threads);
-      ExtractionStats par_store_stats;
-      auto store_parallel = ExtractAttributes(ds->table, column, *ds->kg,
-                                              options, &par_store_stats);
-      ASSERT_TRUE(store_parallel.ok());
-      ExpectTablesEqual(*store_serial, *store_parallel,
+      ExtractionStats store_stats;
+      auto store = ExtractAttributes(ds->table, column, *ds->kg, options,
+                                     &store_stats);
+      ASSERT_TRUE(store.ok());
+      ExpectTablesEqual(*reference, *store,
                         "store threads " + std::to_string(threads));
-      ExpectStatsEqual(store_stats, par_store_stats);
+      ExpectStatsEqual(ref_stats, store_stats);
 
+      // Fault-free client extraction matches the raw TripleStore walk.
       ResilientKgClient client(std::make_shared<LocalEndpoint>(ds->kg.get()));
       ASSERT_TRUE(client.SupportsSharding());
-      ExtractionStats par_client_stats;
-      auto client_parallel = ExtractAttributes(ds->table, column, &client,
-                                               options, &par_client_stats);
-      ASSERT_TRUE(client_parallel.ok());
-      ExpectTablesEqual(*client_serial, *client_parallel,
+      ExtractionStats client_stats;
+      auto via_client = ExtractAttributes(ds->table, column, &client, options,
+                                          &client_stats);
+      ASSERT_TRUE(via_client.ok());
+      ExpectTablesEqual(*reference, *via_client,
                         "client threads " + std::to_string(threads));
-      ExpectStatsEqual(client_stats, par_client_stats);
+      ExpectStatsEqual(ref_stats, client_stats);
     }
   }
 }
@@ -348,7 +429,7 @@ TEST(QueryParallel, ExtractionBitIdenticalAcrossThreadCounts) {
 
 // Thousands of distinct groups push group-by's phase 3 past the merge
 // threshold and into the sliced parallel merge + finalize, which must
-// stay bit-identical to the serial fold.
+// still match the row-order oracle bit for bit.
 TEST(QueryParallel, GroupByHighCardinalityBitIdentical) {
   PoolGuard guard;
   const AggregateFunction aggs[] = {AggregateFunction::kAvg,
@@ -379,19 +460,14 @@ TEST(QueryParallel, GroupByHighCardinalityBitIdentical) {
     ASSERT_TRUE(table.ok());
     const AggregateFunction agg = aggs[seed % 4];
 
-    SetDataPlaneParallel(false);
-    SetNumThreads(1);
-    auto serial = GroupByAggregate(*table, "key", "x", agg);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    EXPECT_GT(serial->groups.size(), 1000u)
+    const GroupByResult expected = OracleGroupBy(*table, {"key"}, "x", agg);
+    EXPECT_GT(expected.groups.size(), 1000u)
         << "dataset failed to cross the parallel-merge threshold";
-
-    SetDataPlaneParallel(true);
     for (size_t threads : kThreadCounts) {
       SetNumThreads(threads);
-      auto parallel = GroupByAggregate(*table, "key", "x", agg);
-      ASSERT_TRUE(parallel.ok());
-      ExpectGroupByEqual(*serial, *parallel,
+      auto got = GroupByAggregate(*table, "key", "x", agg);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectGroupByEqual(expected, *got,
                          "wide seed " + std::to_string(seed) + " threads " +
                              std::to_string(threads));
     }
@@ -400,7 +476,7 @@ TEST(QueryParallel, GroupByHighCardinalityBitIdentical) {
 
 // A single kept right-side column over a large probe: the fragment
 // gather must parallelize inside the one column (the old per-column
-// split had nothing to do here) and still assemble byte-identically.
+// split had nothing to do here) and still match the oracle cell by cell.
 TEST(QueryParallel, HashJoinLargeSingleColumnBitIdentical) {
   PoolGuard guard;
   Rng rng(555);
@@ -442,19 +518,14 @@ TEST(QueryParallel, HashJoinLargeSingleColumnBitIdentical) {
   for (JoinType type : {JoinType::kLeft, JoinType::kInner}) {
     JoinOptions options;
     options.type = type;
-    SetDataPlaneParallel(false);
-    SetNumThreads(1);
-    auto serial = HashJoin(*left, "k", *right, "k", options);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-    SetDataPlaneParallel(true);
     for (size_t threads : kThreadCounts) {
       SetNumThreads(threads);
-      auto parallel = HashJoin(*left, "k", *right, "k", options);
-      ASSERT_TRUE(parallel.ok());
-      ExpectTablesEqual(*serial, *parallel,
-                        "single-col join threads " + std::to_string(threads) +
-                            (type == JoinType::kLeft ? " left" : " inner"));
+      auto joined = HashJoin(*left, "k", *right, "k", options);
+      ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+      ExpectJoinMatchesOracle(
+          *left, "k", *right, "k", type, *joined,
+          "single-col join threads " + std::to_string(threads) +
+              (type == JoinType::kLeft ? " left" : " inner"));
     }
   }
 }
@@ -462,7 +533,8 @@ TEST(QueryParallel, HashJoinLargeSingleColumnBitIdentical) {
 // A synthetic KG with ~1500 linkable entities: enough distinct key
 // values to push AssembleSlots past its parallel threshold, with mixed
 // outcomes (linked / not-found / null) and a type-inferred mixed
-// attribute, all of which must replay byte-identically in parallel.
+// attribute, all of which must replay byte-identically at any thread
+// count.
 TEST(QueryParallel, ExtractionHighCardinalityBitIdentical) {
   PoolGuard guard;
   TripleStore store;
@@ -508,25 +580,25 @@ TEST(QueryParallel, ExtractionHighCardinalityBitIdentical) {
   auto table = Table::Make(std::move(schema), {std::move(key)});
   ASSERT_TRUE(table.ok());
 
+  // Reference: the store walk on one thread.
   ExtractionOptions options;
-  SetDataPlaneParallel(false);
   SetNumThreads(1);
-  ExtractionStats serial_stats;
-  auto serial = ExtractAttributes(*table, "key", store, options, &serial_stats);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  EXPECT_GT(serial_stats.values_linked, 1000u)
+  ExtractionStats ref_stats;
+  auto reference =
+      ExtractAttributes(*table, "key", store, options, &ref_stats);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_GT(ref_stats.values_linked, 1000u)
       << "dataset failed to cross the parallel-assembly threshold";
-  EXPECT_GT(serial_stats.values_not_found, 0u);
+  EXPECT_GT(ref_stats.values_not_found, 0u);
 
-  SetDataPlaneParallel(true);
   for (size_t threads : kThreadCounts) {
     SetNumThreads(threads);
     ExtractionStats stats;
-    auto parallel = ExtractAttributes(*table, "key", store, options, &stats);
-    ASSERT_TRUE(parallel.ok());
-    ExpectTablesEqual(*serial, *parallel,
+    auto got = ExtractAttributes(*table, "key", store, options, &stats);
+    ASSERT_TRUE(got.ok());
+    ExpectTablesEqual(*reference, *got,
                       "wide extraction threads " + std::to_string(threads));
-    ExpectStatsEqual(serial_stats, stats);
+    ExpectStatsEqual(ref_stats, stats);
   }
 }
 

@@ -155,10 +155,8 @@ TEST_F(ServeCancelTest, GenerousDeadlineIsByteIdenticalAtEveryThreadCount) {
 TEST_F(ServeCancelTest, TightDeadlineUnwindsAndLeavesTheRouterServable) {
   Router router;
   BuildRouter(&router, /*warm=*/false);
-#if MESA_METRICS_ENABLED
   const uint64_t exceeded_before = metrics::CounterValue(
       "serve/deadline_exceeded");
-#endif
 
   const auto start = std::chrono::steady_clock::now();
   auto result = router.Handle(ExplainLine(1));
@@ -171,9 +169,7 @@ TEST_F(ServeCancelTest, TightDeadlineUnwindsAndLeavesTheRouterServable) {
   // under TSan on a loaded machine.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
             30);
-#if MESA_METRICS_ENABLED
   EXPECT_GT(metrics::CounterValue("serve/deadline_exceeded"), exceeded_before);
-#endif
 
   // Permit released, caches valid, preprocessing restartable.
   EXPECT_EQ(router.inflight_requests(), 0u);
@@ -191,18 +187,14 @@ TEST_F(ServeCancelTest, ExplicitCancelRepliesCancelledNotError) {
   Router router;
   BuildRouter(&router);
   router.set_explain_hook([] { CurrentCancelToken()->Cancel(); });
-#if MESA_METRICS_ENABLED
   const uint64_t cancelled_before = metrics::CounterValue("serve/cancelled");
-#endif
 
   auto result = router.Handle(ExplainLine(0));
   auto reply = JsonValue::Parse(result.reply_line);
   ASSERT_TRUE(reply.ok());
   EXPECT_FALSE(reply->GetBool("ok"));
   EXPECT_EQ(reply->GetString("code"), "cancelled");
-#if MESA_METRICS_ENABLED
   EXPECT_EQ(metrics::CounterValue("serve/cancelled"), cancelled_before + 1);
-#endif
 
   router.set_explain_hook(nullptr);
   auto retry = router.Handle(ExplainLine(0));
@@ -227,12 +219,10 @@ TEST_F(ServeCancelTest, DrainCancelsInflightButStillDeliversTheReply) {
   });
   Server server(&router);
   ASSERT_TRUE(server.Start().ok());
-#if MESA_METRICS_ENABLED
   const uint64_t drain_cancelled_before =
       metrics::CounterValue("serve/drain_cancelled");
   const uint64_t drain_clean_before =
       metrics::CounterValue("serve/drain_clean");
-#endif
 
   std::string code;
   std::thread client_thread([&] {
@@ -250,13 +240,11 @@ TEST_F(ServeCancelTest, DrainCancelsInflightButStillDeliversTheReply) {
   // The held request had no deadline of its own; the drain gave it one.
   EXPECT_EQ(code, "deadline_exceeded");
   EXPECT_EQ(router.inflight_requests(), 0u);
-#if MESA_METRICS_ENABLED
   EXPECT_EQ(metrics::CounterValue("serve/drain_cancelled"),
             drain_cancelled_before + 1);
   EXPECT_EQ(metrics::CounterValue("serve/drain_clean"),
             drain_clean_before + 1);
   EXPECT_GT(metrics::CounterValue("serve/drain_started"), 0u);
-#endif
 }
 
 // The watchdog flags a request that blew far past its budget — once,
@@ -271,9 +259,7 @@ TEST_F(ServeCancelTest, WatchdogFlagsStuckRequestsExactlyOnce) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-#if MESA_METRICS_ENABLED
   const uint64_t stuck_before = metrics::CounterValue("serve/stuck_requests");
-#endif
 
   std::string report;
   bool ok = false;
@@ -292,9 +278,7 @@ TEST_F(ServeCancelTest, WatchdogFlagsStuckRequestsExactlyOnce) {
   const uint64_t fake_now = CancelClockNowNs() + 40ULL * 1'000'000'000ULL;
   EXPECT_EQ(router.ScanStuck(fake_now, 3.0), 1u);
   EXPECT_EQ(router.ScanStuck(fake_now, 3.0), 0u);  // flagged once only.
-#if MESA_METRICS_ENABLED
   EXPECT_EQ(metrics::CounterValue("serve/stuck_requests"), stuck_before + 1);
-#endif
 
   release.store(true, std::memory_order_release);
   request_thread.join();

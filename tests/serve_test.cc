@@ -330,7 +330,6 @@ TEST_F(ServeDaemonTest, ConcurrentClientsMatchSerialGoldenAtAnyThreadCount) {
     EXPECT_EQ(trace_ids.size(),
               static_cast<size_t>(kClients * kRequestsPerClient));
 
-#if MESA_METRICS_ENABLED
     // The IDs are also in the snapshot's trace ring, with their spans.
     auto probe = Client::Connect(server.port());
     ASSERT_TRUE(probe.ok());
@@ -350,7 +349,6 @@ TEST_F(ServeDaemonTest, ConcurrentClientsMatchSerialGoldenAtAnyThreadCount) {
       EXPECT_TRUE(snapshot_ids.count(id) > 0)
           << "trace " << id << " missing from the metrics snapshot";
     }
-#endif
 
     server.Shutdown();
   }
