@@ -185,9 +185,8 @@ void ParallelForChunks(size_t begin, size_t end,
 
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& body) {
-  ParallelForChunks(begin, end, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) body(i);
-  });
+  if (end <= begin) return;
+  GlobalThreadPool()->Run(end - begin, [&](size_t i) { body(begin + i); });
 }
 
 }  // namespace mesa

@@ -28,8 +28,8 @@ namespace mesa {
 ///     are thread-count-invariant;
 ///   * exceptions are rethrown from the lowest-index failing chunk.
 ///
-/// Scheduling is dynamic (threads pull chunk indices from a shared
-/// counter), which is safe because only the chunk *contents* matter.
+/// Scheduling is dynamic (threads pull task indices from a shared
+/// counter), which is safe because only the task *contents* matter.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` total lanes of concurrency: the
@@ -79,15 +79,18 @@ void SetNumThreads(size_t num_threads);
 /// Lane count of the current global pool.
 size_t NumThreads();
 
-/// Parallel loop: body(i) for i in [begin, end). Per-index work must be
-/// independent; chunk boundaries may vary with the thread count, so any
+/// Parallel loop: body(i) for i in [begin, end). Every index is its own
+/// task pulled from the pool's shared counter, so a slow index never holds
+/// up the indices after it. Per-index work must be independent; any
 /// cross-index accumulation belongs in ParallelMapReduce instead.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& body);
 
 /// Parallel loop over contiguous chunks: body(lo, hi) with
-/// begin <= lo < hi <= end. Lets the body hoist per-chunk scratch buffers,
-/// provided each index's result stays independent of the chunking.
+/// begin <= lo < hi <= end, one chunk per lane (a static split, so chunk
+/// boundaries vary with the thread count). Lets the body hoist per-chunk
+/// scratch buffers, provided each index's result stays independent of the
+/// chunking.
 void ParallelForChunks(size_t begin, size_t end,
                        const std::function<void(size_t, size_t)>& body);
 

@@ -268,6 +268,7 @@ Result<std::vector<UnexplainedSubgroup>> Mesa::FindSubgroups(
       }
     }
   }
+  MESA_SPAN("subgroups");
   return FindUnexplainedSubgroups(augmented_, query, explanation, options);
   });
 }

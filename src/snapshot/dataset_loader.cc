@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/metrics.h"
 #include "kg/serialization.h"
 #include "snapshot/reader.h"
 #include "table/csv.h"
@@ -29,6 +30,7 @@ Result<LoadedDataset> LoadDataset(const DatasetSource& source) {
   MESA_RETURN_IF_ERROR(ValidateDatasetSource(source));
   LoadedDataset out;
   if (!source.snapshot_path.empty()) {
+    MESA_SPAN("load/snapshot");
     MESA_ASSIGN_OR_RETURN(snapshot::SnapshotReader reader,
                           snapshot::SnapshotReader::Open(source.snapshot_path));
     MESA_ASSIGN_OR_RETURN(out.table, reader.ReadTable());
@@ -43,8 +45,12 @@ Result<LoadedDataset> LoadDataset(const DatasetSource& source) {
     }
     return out;
   }
-  MESA_ASSIGN_OR_RETURN(out.table, ReadCsvFile(source.csv_path));
+  {
+    MESA_SPAN("load/csv");
+    MESA_ASSIGN_OR_RETURN(out.table, ReadCsvFile(source.csv_path));
+  }
   if (!source.kg_path.empty()) {
+    MESA_SPAN("load/kg");
     MESA_ASSIGN_OR_RETURN(TripleStore kg, ReadKgFile(source.kg_path));
     out.kg = std::make_shared<TripleStore>(std::move(kg));
     out.extraction_columns = source.extraction_columns;

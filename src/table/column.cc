@@ -128,39 +128,45 @@ void Column::EnsureOwned() {
   SyncPointers();
 }
 
-Column Column::FromDoubles(std::vector<double> values) {
+void Column::AdoptValidity(size_t n, std::vector<uint8_t> valid) {
+  MESA_CHECK(valid.empty() || valid.size() == n);
+  if (valid.empty()) valid.assign(n, 1);
+  valid_ = std::move(valid);
+  size_ = n;
+  null_count_ =
+      static_cast<size_t>(std::count(valid_.begin(), valid_.end(), 0));
+  SyncPointers();
+}
+
+Column Column::FromDoubles(std::vector<double> values,
+                           std::vector<uint8_t> valid) {
   Column c(DataType::kDouble);
   c.doubles_ = std::move(values);
-  c.valid_.assign(c.doubles_.size(), 1);
-  c.size_ = c.doubles_.size();
-  c.SyncPointers();
+  c.AdoptValidity(c.doubles_.size(), std::move(valid));
   return c;
 }
 
-Column Column::FromInts(std::vector<int64_t> values) {
+Column Column::FromInts(std::vector<int64_t> values,
+                        std::vector<uint8_t> valid) {
   Column c(DataType::kInt64);
   c.ints_ = std::move(values);
-  c.valid_.assign(c.ints_.size(), 1);
-  c.size_ = c.ints_.size();
-  c.SyncPointers();
+  c.AdoptValidity(c.ints_.size(), std::move(valid));
   return c;
 }
 
-Column Column::FromStrings(std::vector<std::string> values) {
+Column Column::FromStrings(std::vector<std::string> values,
+                           std::vector<uint8_t> valid) {
   Column c(DataType::kString);
   c.strings_ = std::move(values);
-  c.valid_.assign(c.strings_.size(), 1);
-  c.size_ = c.strings_.size();
-  c.SyncPointers();
+  c.AdoptValidity(c.strings_.size(), std::move(valid));
   return c;
 }
 
-Column Column::FromBools(std::vector<uint8_t> values) {
+Column Column::FromBools(std::vector<uint8_t> values,
+                         std::vector<uint8_t> valid) {
   Column c(DataType::kBool);
   c.bools_ = std::move(values);
-  c.valid_.assign(c.bools_.size(), 1);
-  c.size_ = c.bools_.size();
-  c.SyncPointers();
+  c.AdoptValidity(c.bools_.size(), std::move(valid));
   return c;
 }
 

@@ -41,11 +41,18 @@ class Column {
   Column(Column&& other) noexcept;
   Column& operator=(Column&& other) noexcept;
 
-  /// Convenience factories from dense data (all valid).
-  static Column FromDoubles(std::vector<double> values);
-  static Column FromInts(std::vector<int64_t> values);
-  static Column FromStrings(std::vector<std::string> values);
-  static Column FromBools(std::vector<uint8_t> values);
+  /// Factories from dense data. `valid` holds one 1/0 byte per value;
+  /// empty means all valid. A null slot must hold the default payload
+  /// (0, "" or false), as AppendNull leaves it, so the column is
+  /// byte-identical to one built by appends.
+  static Column FromDoubles(std::vector<double> values,
+                            std::vector<uint8_t> valid = {});
+  static Column FromInts(std::vector<int64_t> values,
+                         std::vector<uint8_t> valid = {});
+  static Column FromStrings(std::vector<std::string> values,
+                            std::vector<uint8_t> valid = {});
+  static Column FromBools(std::vector<uint8_t> values,
+                          std::vector<uint8_t> valid = {});
 
   /// Zero-copy factories: the column reads through `payload` / `valid`
   /// (length `n` each) without copying; `owner` keeps the backing memory
@@ -156,6 +163,10 @@ class Column {
   /// Points the read-through pointers at the owned vectors (owned mode
   /// only; borrowed pointers are set by the Borrow factories).
   void SyncPointers();
+
+  /// Shared tail of the From* factories: installs `valid` (all valid when
+  /// empty) for the `n` payload values already moved in.
+  void AdoptValidity(size_t n, std::vector<uint8_t> valid);
 
   /// Copies borrowed runs into owned vectors and drops the owner handle.
   /// No-op in owned mode. Called by every mutator.

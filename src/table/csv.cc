@@ -1,8 +1,18 @@
 #include "table/csv.h"
 
-#include <fstream>
-#include <sstream>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <deque>
+#include <fstream>
+#include <string_view>
+
+#include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 
 namespace mesa {
@@ -11,50 +21,64 @@ namespace {
 
 // Splits one logical CSV record honouring quotes. `pos` points at the start
 // of the record within `text` and is advanced past the trailing newline.
-// A quote still open at end of input sets `*unterminated_quote`: the input
-// was cut inside a quoted field (or a quote was never balanced) and the
-// "record" consumed everything to EOF — the caller must reject it rather
-// than store the tail of the file as one cell.
-std::vector<std::string> ParseRecord(const std::string& text, size_t* pos,
-                                     char delim, bool* unterminated_quote) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool in_quotes = false;
+// A field that is a plain run of bytes is a view of `text`; one that must
+// be unescaped (a quote, or a dropped '\r') is copied into `owned` and
+// viewed there. Returns false when a quote is still open at end of input:
+// the input was cut inside a quoted field (or a quote was never balanced)
+// and the "record" consumed everything to EOF — the caller must reject it
+// rather than store the tail of the file as one cell.
+bool SplitRecord(std::string_view text, size_t* pos, char delim,
+                 std::vector<std::string_view>* fields,
+                 std::deque<std::string>* owned) {
+  fields->clear();
+  const size_t n = text.size();
   size_t i = *pos;
-  for (; i < text.size(); ++i) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == delim) {
-      fields.push_back(std::move(cur));
-      cur.clear();
-    } else if (c == '\n') {
+  for (;;) {
+    const size_t start = i;
+    while (i < n && text[i] != '"' && text[i] != delim && text[i] != '\n' &&
+           text[i] != '\r') {
       ++i;
-      break;
-    } else if (c == '\r') {
-      // swallow; handled with the following \n if present
-    } else {
-      cur += c;
+    }
+    std::string_view field = text.substr(start, i - start);
+    if (i < n && (text[i] == '"' || (text[i] == '\r' && delim != '\r'))) {
+      std::string cur(field);
+      bool in_quotes = false;
+      for (; i < n; ++i) {
+        const char c = text[i];
+        if (in_quotes) {
+          if (c != '"') {
+            cur += c;
+          } else if (i + 1 < n && text[i + 1] == '"') {
+            cur += '"';
+            ++i;
+          } else {
+            in_quotes = false;
+          }
+        } else if (c == '"') {
+          in_quotes = true;
+        } else if (c == delim || c == '\n') {
+          break;
+        } else if (c != '\r') {
+          cur += c;
+        }
+      }
+      if (in_quotes) return false;
+      field = owned->emplace_back(std::move(cur));
+    }
+    fields->push_back(field);
+    if (i == n) {
+      *pos = n;
+      return true;
+    }
+    ++i;  // past the delimiter or the newline
+    if (text[i - 1] != delim) {
+      *pos = i;
+      return true;
     }
   }
-  fields.push_back(std::move(cur));
-  *pos = i;
-  *unterminated_quote = in_quotes;
-  return fields;
 }
 
-bool IsNullToken(const std::string& cell,
+bool IsNullToken(std::string_view cell,
                  const std::vector<std::string>& tokens) {
   for (const auto& t : tokens) {
     if (EqualsIgnoreCase(cell, t)) return true;
@@ -62,7 +86,7 @@ bool IsNullToken(const std::string& cell,
   return false;
 }
 
-bool ParseBoolToken(const std::string& cell, bool* out) {
+bool ParseBoolToken(std::string_view cell, bool* out) {
   if (EqualsIgnoreCase(cell, "true")) {
     *out = true;
     return true;
@@ -74,44 +98,312 @@ bool ParseBoolToken(const std::string& cell, bool* out) {
   return false;
 }
 
+constexpr size_t kNoRow = static_cast<size_t>(-1);
+
+// One cell after the parse pass: its unescaped text and, for a numeric or
+// bool cell, the value its classifying parse produced.
+struct Cell {
+  enum Kind : uint8_t { kNull, kInt, kDouble, kBool, kText };
+  std::string_view text;
+  Kind kind = kText;
+  union {
+    int64_t i;
+    double d;
+    bool b;
+  };
+};
+
+// One column's slice of a morsel: its cells in row order, the inference
+// flags over them, and its first cell that breaks a declared type.
+struct ColumnScan {
+  std::vector<Cell> cells;
+  bool any_value = false;
+  bool all_int = true;
+  bool all_num = true;
+  bool all_bool = true;
+  size_t first_bad = kNoRow;  ///< morsel-local row; declared columns only
+
+  // `declared` is the column's declared type, or kNull to infer one.
+  void Add(std::string_view s, DataType declared,
+           const std::vector<std::string>& null_tokens) {
+    Cell& cell = cells.emplace_back();
+    cell.text = s;
+    if (IsNullToken(s, null_tokens)) {
+      cell.kind = Cell::kNull;
+      return;
+    }
+    if (declared != DataType::kNull) {
+      // ParseInt64 rejects out-of-range literals, so an int64 overflow
+      // is an error here rather than a silent wrap or widen.
+      bool ok = true;
+      if (declared == DataType::kInt64) {
+        cell.kind = Cell::kInt;
+        ok = ParseInt64(s, &cell.i);
+      } else if (declared == DataType::kDouble) {
+        cell.kind = Cell::kDouble;
+        ok = ParseDouble(s, &cell.d);
+      } else if (declared == DataType::kBool) {
+        cell.kind = Cell::kBool;
+        ok = ParseBoolToken(s, &cell.b);
+      }
+      if (!ok && first_bad == kNoRow) first_bad = cells.size() - 1;
+      return;
+    }
+    // Each parse runs only while its type is still possible for the
+    // column. Every integer literal also parses as a double, and no
+    // number is a bool token, so one successful parse settles all three
+    // flags; a column no type fits any more costs only the null test.
+    any_value = true;
+    if (all_int && ParseInt64(s, &cell.i)) {
+      cell.kind = Cell::kInt;
+      all_bool = false;
+      return;
+    }
+    all_int = false;
+    if (all_num && ParseDouble(s, &cell.d)) {
+      cell.kind = Cell::kDouble;
+      all_bool = false;
+      return;
+    }
+    all_num = false;
+    if (all_bool && ParseBoolToken(s, &cell.b)) {
+      cell.kind = Cell::kBool;
+      return;
+    }
+    all_bool = false;
+  }
+};
+
+// A run of whole records, text[begin, end), parsed independently of every
+// other morsel.
+struct Morsel {
+  size_t begin = 0;
+  size_t end = 0;
+  size_t rows = 0;
+  std::vector<ColumnScan> columns;
+  std::deque<std::string> owned;  ///< unescaped fields the cells view
+  Status error;                   ///< first structural error, if any
+};
+
+// Cuts text[pos, end of input) into morsels of about kCsvMorselBytes.
+// A cut falls only after a '\n' outside quotes. Every '"' flips
+// SplitRecord's in-quotes state (an escaped "" flips it twice), so the
+// quote count's parity from a record start is that state exactly, and
+// each cut is a record start of the serial parse.
+std::vector<Morsel> CutMorsels(std::string_view text, size_t pos,
+                               char delim) {
+  std::vector<Morsel> morsels;
+  while (pos < text.size()) {
+    Morsel& m = morsels.emplace_back();
+    m.begin = pos;
+    m.end = text.size();
+    // With '\n' as the delimiter a record never ends at a newline.
+    if (delim != '\n' && text.size() - pos > kCsvMorselBytes) {
+      size_t i = pos + kCsvMorselBytes;
+      bool in_quotes =
+          std::count(text.begin() + pos, text.begin() + i, '"') % 2 != 0;
+      for (; i < text.size(); ++i) {
+        if (text[i] == '"') {
+          in_quotes = !in_quotes;
+        } else if (text[i] == '\n' && !in_quotes) {
+          m.end = i + 1;
+          break;
+        }
+      }
+    }
+    pos = m.end;
+  }
+  return morsels;
+}
+
+// Parse pass over one morsel: splits its records, checks their field
+// counts, and classifies every cell once. Stops at the first structural
+// error; the merge reports the earliest one in file order.
+void ParseMorsel(std::string_view text, char delim,
+                 const std::vector<DataType>& declared,
+                 const std::vector<std::string>& null_tokens, Morsel* m) {
+  const size_t ncols = declared.size();
+  m->columns.resize(ncols);
+  std::vector<std::string_view> fields;
+  size_t pos = m->begin;
+  while (pos < m->end) {
+    const size_t before = pos;
+    if (!SplitRecord(text, &pos, delim, &fields, &m->owned)) {
+      m->error = Status::InvalidArgument(
+          "unterminated quoted field in CSV record at byte " +
+          std::to_string(before));
+      return;
+    }
+    if (fields.size() == 1 && fields[0].empty()) continue;  // blank line
+    if (fields.size() != ncols) {
+      m->error = Status::InvalidArgument(
+          "CSV record at byte " + std::to_string(before) + " has " +
+          std::to_string(fields.size()) + " fields, expected " +
+          std::to_string(ncols));
+      return;
+    }
+    for (size_t c = 0; c < ncols; ++c) {
+      m->columns[c].Add(fields[c], declared[c], null_tokens);
+    }
+    ++m->rows;
+  }
+}
+
+// One output column's storage, filled in place: morsel k writes rows
+// [row_base[k], row_base[k] + rows) of every column, so concatenation in
+// morsel order is free. Only the payload run of the column's type is used.
+struct ColumnOut {
+  std::vector<uint8_t> valid;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<uint8_t> bools;
+  std::vector<std::string> strings;
+
+  ColumnOut(DataType type, size_t n) : valid(n, 0) {
+    switch (type) {
+      case DataType::kInt64:
+        ints.resize(n);
+        break;
+      case DataType::kDouble:
+        doubles.resize(n);
+        break;
+      case DataType::kBool:
+        bools.resize(n);
+        break;
+      case DataType::kString:
+        strings.resize(n);
+        break;
+      case DataType::kNull:
+        break;
+    }
+  }
+
+  void Fill(DataType type, const std::vector<Cell>& cells, size_t base) {
+    for (size_t r = 0; r < cells.size(); ++r) {
+      const Cell& cell = cells[r];
+      if (cell.kind == Cell::kNull) continue;
+      const size_t row = base + r;
+      valid[row] = 1;
+      switch (type) {
+        case DataType::kInt64:
+          ints[row] = cell.i;
+          break;
+        case DataType::kDouble:
+          // An integer cell of a double column parses again, so its bits
+          // are strtod's (e.g. "-0" is -0.0, not the int 0).
+          if (cell.kind == Cell::kInt) {
+            ParseDouble(cell.text, &doubles[row]);
+          } else {
+            doubles[row] = cell.d;
+          }
+          break;
+        case DataType::kBool:
+          bools[row] = cell.b ? 1 : 0;
+          break;
+        case DataType::kString:
+          strings[row].assign(cell.text);
+          break;
+        case DataType::kNull:
+          break;
+      }
+    }
+  }
+
+  Column Finish(DataType type) && {
+    switch (type) {
+      case DataType::kInt64:
+        return Column::FromInts(std::move(ints), std::move(valid));
+      case DataType::kDouble:
+        return Column::FromDoubles(std::move(doubles), std::move(valid));
+      case DataType::kBool:
+        return Column::FromBools(std::move(bools), std::move(valid));
+      default:
+        return Column::FromStrings(std::move(strings), std::move(valid));
+    }
+  }
+};
+
+// Reads the whole file into one buffer: one read for a regular file (the
+// second read only confirms end of file), growing for pipes.
+Result<std::string> ReadWholeFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open " + path);
+  struct stat st {};
+  const size_t hint =
+      ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) ? st.st_size : 0;
+  std::string text(hint + 1, '\0');
+  size_t len = 0;
+  for (;;) {
+    if (len == text.size()) text.resize(2 * text.size());
+    const ssize_t got = ::read(fd, text.data() + len, text.size() - len);
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) {
+      const int err = errno;
+      ::close(fd);
+      return Status::IOError("cannot read " + path + ": " +
+                             std::strerror(err));
+    }
+    if (got == 0) break;
+    len += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  text.resize(len);
+  return text;
+}
+
 }  // namespace
 
-Result<Table> ReadCsvString(const std::string& text,
+Result<Table> ReadCsvString(const std::string& input,
                             const CsvReadOptions& options) {
   if (!options.has_header) {
     return Status::NotImplemented("CSV without header is not supported");
   }
-  size_t pos = 0;
-  if (text.empty()) return Status::InvalidArgument("empty CSV input");
-  bool unterminated = false;
-  std::vector<std::string> header =
-      ParseRecord(text, &pos, options.delimiter, &unterminated);
-  if (unterminated) {
-    return Status::InvalidArgument("unterminated quoted field in CSV header");
-  }
+  const std::string_view text = input;
+  const char delim = options.delimiter;
+  // One leading UTF-8 byte-order mark is an encoding signature, not part
+  // of the first column's name. Byte offsets still count from the input.
+  constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
+  size_t pos = StartsWith(text, kUtf8Bom) ? kUtf8Bom.size() : 0;
+  if (pos == text.size()) return Status::InvalidArgument("empty CSV input");
 
-  std::vector<std::vector<std::string>> cells;  // row-major
-  while (pos < text.size()) {
-    size_t before = pos;
-    std::vector<std::string> rec =
-        ParseRecord(text, &pos, options.delimiter, &unterminated);
-    if (unterminated) {
+  std::vector<std::string> header;
+  std::vector<Morsel> morsels;
+  {
+    MESA_SPAN("scan");
+    std::vector<std::string_view> fields;
+    std::deque<std::string> owned;
+    if (!SplitRecord(text, &pos, delim, &fields, &owned)) {
       return Status::InvalidArgument(
-          "unterminated quoted field in CSV record at byte " +
-          std::to_string(before));
+          "unterminated quoted field in CSV header");
     }
-    if (rec.size() == 1 && rec[0].empty()) continue;  // blank line
-    if (rec.size() != header.size()) {
-      return Status::InvalidArgument(
-          "CSV record at byte " + std::to_string(before) + " has " +
-          std::to_string(rec.size()) + " fields, expected " +
-          std::to_string(header.size()));
-    }
-    cells.push_back(std::move(rec));
+    header.assign(fields.begin(), fields.end());
+    morsels = CutMorsels(text, pos, delim);
   }
-
   const size_t ncols = header.size();
-  const size_t nrows = cells.size();
+
+  {
+    MESA_SPAN("parse");
+    // Supported declared types parse strictly; kNull means infer.
+    std::vector<DataType> declared(ncols, DataType::kNull);
+    for (size_t c = 0; c < ncols; ++c) {
+      auto it = options.declared_types.find(header[c]);
+      if (it != options.declared_types.end() &&
+          it->second != DataType::kNull) {
+        declared[c] = it->second;
+      }
+    }
+    ParallelFor(0, morsels.size(), [&](size_t k) {
+      ParseMorsel(text, delim, declared, options.null_tokens, &morsels[k]);
+    });
+  }
+
+  MESA_SPAN("assemble");
+  // Errors in the serial reader's order: the first structural error in
+  // file order, then a bad declaration, then the lowest declared column
+  // with a cell that breaks its type, at that cell's first data row.
+  for (const Morsel& m : morsels) {
+    if (!m.error.ok()) return m.error;
+  }
 
   // Declared columns must exist and use a storable type: a typo'd name
   // would silently disable the strict check the caller asked for.
@@ -130,6 +422,13 @@ Result<Table> ReadCsvString(const std::string& text,
     }
   }
 
+  std::vector<size_t> row_base(morsels.size());
+  size_t nrows = 0;
+  for (size_t k = 0; k < morsels.size(); ++k) {
+    row_base[k] = nrows;
+    nrows += morsels[k].rows;
+  }
+
   // Per column: declared type (strict) or inference (lenient).
   Schema schema;
   std::vector<DataType> types(ncols);
@@ -137,42 +436,26 @@ Result<Table> ReadCsvString(const std::string& text,
     auto declared = options.declared_types.find(header[c]);
     if (declared != options.declared_types.end()) {
       const DataType t = declared->second;
-      for (size_t r = 0; r < nrows; ++r) {
-        const std::string& cell = cells[r][c];
-        if (IsNullToken(cell, options.null_tokens)) continue;
-        int64_t iv;
-        double dv;
-        bool bv;
-        // ParseInt64 rejects out-of-range literals, so an int64 overflow
-        // is an error here rather than a silent wrap or widen.
-        const bool cell_ok =
-            t == DataType::kString ||
-            (t == DataType::kInt64 && ParseInt64(cell, &iv)) ||
-            (t == DataType::kDouble && ParseDouble(cell, &dv)) ||
-            (t == DataType::kBool && ParseBoolToken(cell, &bv));
-        if (!cell_ok) {
-          return Status::InvalidArgument(
-              "cell '" + cell + "' in column '" + header[c] + "' (data row " +
-              std::to_string(r + 1) + ") does not parse as declared type " +
-              DataTypeName(t));
-        }
+      for (size_t k = 0; k < morsels.size(); ++k) {
+        const ColumnScan& scan = morsels[k].columns[c];
+        if (scan.first_bad == kNoRow) continue;
+        return Status::InvalidArgument(
+            "cell '" + std::string(scan.cells[scan.first_bad].text) +
+            "' in column '" + header[c] + "' (data row " +
+            std::to_string(row_base[k] + scan.first_bad + 1) +
+            ") does not parse as declared type " + DataTypeName(t));
       }
       types[c] = t;
       MESA_RETURN_IF_ERROR(schema.AddField({header[c], t}));
       continue;
     }
     bool all_int = true, all_num = true, all_bool = true, any_value = false;
-    for (size_t r = 0; r < nrows; ++r) {
-      const std::string& cell = cells[r][c];
-      if (IsNullToken(cell, options.null_tokens)) continue;
-      any_value = true;
-      int64_t iv;
-      double dv;
-      bool bv;
-      if (!ParseInt64(cell, &iv)) all_int = false;
-      if (!ParseDouble(cell, &dv)) all_num = false;
-      if (!ParseBoolToken(cell, &bv)) all_bool = false;
-      if (!all_int && !all_num && !all_bool) break;
+    for (const Morsel& m : morsels) {
+      const ColumnScan& scan = m.columns[c];
+      all_int = all_int && scan.all_int;
+      all_num = all_num && scan.all_num;
+      all_bool = all_bool && scan.all_bool;
+      any_value = any_value || scan.any_value;
     }
     DataType t;
     if (!any_value) {
@@ -190,53 +473,30 @@ Result<Table> ReadCsvString(const std::string& text,
     MESA_RETURN_IF_ERROR(schema.AddField({header[c], t}));
   }
 
+  std::vector<ColumnOut> out;
+  out.reserve(ncols);
+  for (size_t c = 0; c < ncols; ++c) out.emplace_back(types[c], nrows);
+  ParallelFor(0, morsels.size(), [&](size_t k) {
+    for (size_t c = 0; c < ncols; ++c) {
+      out[c].Fill(types[c], morsels[k].columns[c].cells, row_base[k]);
+    }
+  });
   std::vector<Column> columns;
   columns.reserve(ncols);
-  for (size_t c = 0; c < ncols; ++c) columns.emplace_back(types[c]);
-  for (size_t r = 0; r < nrows; ++r) {
-    for (size_t c = 0; c < ncols; ++c) {
-      const std::string& cell = cells[r][c];
-      if (IsNullToken(cell, options.null_tokens)) {
-        columns[c].AppendNull();
-        continue;
-      }
-      switch (types[c]) {
-        case DataType::kInt64: {
-          int64_t v = 0;
-          ParseInt64(cell, &v);
-          columns[c].AppendInt(v);
-          break;
-        }
-        case DataType::kDouble: {
-          double v = 0;
-          ParseDouble(cell, &v);
-          columns[c].AppendDouble(v);
-          break;
-        }
-        case DataType::kBool: {
-          bool v = false;
-          ParseBoolToken(cell, &v);
-          columns[c].AppendBool(v);
-          break;
-        }
-        case DataType::kString:
-          columns[c].AppendString(cell);
-          break;
-        case DataType::kNull:
-          break;
-      }
-    }
+  for (size_t c = 0; c < ncols; ++c) {
+    columns.push_back(std::move(out[c]).Finish(types[c]));
   }
   return Table::Make(std::move(schema), std::move(columns));
 }
 
 Result<Table> ReadCsvFile(const std::string& path,
                           const CsvReadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadCsvString(buf.str(), options);
+  std::string text;
+  {
+    MESA_SPAN("read");
+    MESA_ASSIGN_OR_RETURN(text, ReadWholeFile(path));
+  }
+  return ReadCsvString(text, options);
 }
 
 namespace {

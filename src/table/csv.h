@@ -1,8 +1,10 @@
 #ifndef MESA_TABLE_CSV_H_
 #define MESA_TABLE_CSV_H_
 
+#include <cstddef>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "table/table.h"
@@ -24,18 +26,30 @@ struct CsvReadOptions {
   std::map<std::string, DataType> declared_types;
 };
 
+/// The reader cuts the body into morsels of about this many bytes, each
+/// ending after the first newline outside quotes at or past this size,
+/// and parses the morsels in parallel. A constant, so the cut never
+/// depends on the thread count; an input below it is one morsel.
+inline constexpr size_t kCsvMorselBytes = 64 * 1024;
+
 /// Parses CSV text into a Table with per-column type inference:
 /// a column is int64 if every non-null cell parses as an integer, else
 /// double if every non-null cell parses as a number, else bool if every
-/// non-null cell is true/false, else string.
+/// non-null cell is true/false, else string. One leading UTF-8 byte-order
+/// mark is skipped.
 ///
 /// Structural damage is never repaired silently: a record with the wrong
 /// field count (e.g. a truncated final row) and a quoted field left open
 /// at end of input both fail with InvalidArgument.
+///
+/// Morsels parse in parallel, each cell once; the table and any error
+/// (the first in file order, with byte offsets and data rows counted over
+/// the whole input) are the same at every thread count.
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvReadOptions& options = {});
 
-/// Reads a CSV file from disk.
+/// Reads a CSV file from disk in one read. A path that cannot be opened
+/// or read (e.g. a directory) is an IOError naming it.
 Result<Table> ReadCsvFile(const std::string& path,
                           const CsvReadOptions& options = {});
 

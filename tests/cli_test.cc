@@ -69,22 +69,44 @@ TEST(MesaCli, GenExplainRoundTrip) {
   EXPECT_NE(explain_log.find("explanation"), std::string::npos);
   EXPECT_NE(explain_log.find("unexplained data groups"), std::string::npos);
 
-  // --metrics=FILE dumps the observability snapshot as JSON.
+  // --metrics=FILE dumps the observability snapshot as JSON, with a span
+  // for every layer of the run: loading (and the CSV reader's phases),
+  // the explanation, and the subgroup search.
   std::string metrics = testing::TempDir() + "/mesa_cli_metrics.json";
   ASSERT_EQ(
       RunCommand(cli + " explain --data " + prefix + ".csv --kg " + prefix +
                  ".kg --extract Country,WHO_Region --query \"SELECT "
                  "Country, avg(Deaths_per_100_cases) FROM covid GROUP BY "
-                 "Country\" --metrics=" + metrics + " > " + out + " 2>&1"),
+                 "Country\" --subgroups WHO_Region --metrics=" + metrics +
+                 " --save-snapshot " + prefix + ".msnap > " + out + " 2>&1"),
       0)
       << Slurp(out);
   std::string metrics_json = Slurp(metrics);
   ASSERT_FALSE(metrics_json.empty());
   EXPECT_EQ(metrics_json.front(), '{');
-  EXPECT_NE(metrics_json.find("\"info/cmi_evals\""), std::string::npos);
-  EXPECT_NE(metrics_json.find("\"qa/single_cmi/miss\""), std::string::npos);
-  EXPECT_NE(metrics_json.find("\"explain/mcimr\""), std::string::npos);
+  for (const char* name :
+       {"info/cmi_evals", "qa/single_cmi/miss", "explain/mcimr", "load/csv",
+        "load/csv/read", "load/csv/scan", "load/csv/parse",
+        "load/csv/assemble", "load/kg", "subgroups"}) {
+    EXPECT_NE(metrics_json.find("\"" + std::string(name) + "\""),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_EQ(metrics_json.find("\"load/snapshot\""), std::string::npos);
+
+  // A snapshot load has its own span and no CSV or KG parse.
+  ASSERT_EQ(
+      RunCommand(cli + " explain --snapshot " + prefix + ".msnap --query "
+                 "\"SELECT Country, avg(Deaths_per_100_cases) FROM covid "
+                 "GROUP BY Country\" --metrics=" + metrics + " > " + out +
+                 " 2>&1"),
+      0)
+      << Slurp(out);
+  metrics_json = Slurp(metrics);
+  EXPECT_NE(metrics_json.find("\"load/snapshot\""), std::string::npos);
+  EXPECT_EQ(metrics_json.find("\"load/csv\""), std::string::npos);
   std::remove(metrics.c_str());
+  std::remove((prefix + ".msnap").c_str());
 
   std::remove((prefix + ".csv").c_str());
   std::remove((prefix + ".kg").c_str());
@@ -107,6 +129,14 @@ TEST(MesaCli, UsageAndErrorPaths) {
                            "\"SELECT a, avg(b) FROM t GROUP BY a\" > " +
                      out + " 2>&1"),
             2);
+  // A directory given as the data file -> I/O error naming it, exit 2.
+  const std::string dir = testing::TempDir();
+  EXPECT_EQ(ExitCode(cli + " explain --data " + dir + " --query "
+                           "\"SELECT a, avg(b) FROM t GROUP BY a\" > " +
+                     out + " 2>&1"),
+            2);
+  EXPECT_NE(Slurp(out).find("cannot read " + dir), std::string::npos)
+      << Slurp(out);
   // Bad integer flags -> usage error, exit 1, never a silently clamped or
   // wrapped value.
   EXPECT_EQ(ExitCode(cli + " gen --dataset covid --rows -5 --out /tmp/x > " +

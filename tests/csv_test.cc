@@ -121,5 +121,33 @@ TEST(CsvFile, MissingFileIsIOError) {
             StatusCode::kIOError);
 }
 
+TEST(CsvFile, DirectoryIsIOErrorNamingThePath) {
+  // A directory opens but cannot be read; that is an I/O failure, not an
+  // empty CSV.
+  const std::string dir = testing::TempDir();
+  auto t = ReadCsvFile(dir);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kIOError);
+  EXPECT_NE(t.status().message().find(dir), std::string::npos)
+      << t.status().ToString();
+}
+
+TEST(CsvRead, LeadingUtf8BomIsNotPartOfTheFirstName) {
+  auto t = ReadCsvString("\xEF\xBB\xBF" "a,b\nx,1\n");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->schema().field(0).name, "a");
+  EXPECT_EQ(t->GetCell(0, "a")->string_value(), "x");
+  EXPECT_EQ(t->GetCell(0, "b")->int_value(), 1);
+  // Only one mark is an encoding signature; byte offsets in errors still
+  // count it.
+  auto twice = ReadCsvString("\xEF\xBB\xBF\xEF\xBB\xBF" "a\nx\n");
+  ASSERT_TRUE(twice.ok());
+  EXPECT_EQ(twice->schema().field(0).name, "\xEF\xBB\xBF" "a");
+  auto ragged = ReadCsvString("\xEF\xBB\xBF" "a,b\n1\n");
+  ASSERT_FALSE(ragged.ok());
+  EXPECT_EQ(ragged.status().message(),
+            "CSV record at byte 7 has 1 fields, expected 2");
+}
+
 }  // namespace
 }  // namespace mesa

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
@@ -95,6 +96,45 @@ TEST(ParallelFor, PropagatesWorkerExceptionToCaller) {
   std::atomic<size_t> count{0};
   ParallelFor(0, 100, [&](size_t) { ++count; });
   EXPECT_EQ(count.load(), 100u);
+}
+
+// Resizes the pool for one test and restores the previous size when the
+// test ends, however it ends.
+class ThreadCountGuard {
+ public:
+  explicit ThreadCountGuard(size_t threads) : saved_(NumThreads()) {
+    SetNumThreads(threads);
+  }
+  ~ThreadCountGuard() { SetNumThreads(saved_); }
+
+ private:
+  size_t saved_;
+};
+
+TEST(ParallelFor, SlowIndexDoesNotHoldUpTheRest) {
+  // ParallelFor hands out single indices, so while index 0 blocks, the
+  // other lanes finish every other index. A static split by lane count
+  // would put index 1 behind index 0 in the same chunk, and index 0 would
+  // time out waiting for it.
+  ThreadCountGuard guard(4);
+  constexpr size_t kN = 16;
+  std::atomic<size_t> done{0};
+  std::atomic<bool> saw_all{false};
+  ParallelFor(0, kN, [&](size_t i) {
+    if (i == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (done.load() < kN - 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      saw_all = done.load() == kN - 1;
+    } else {
+      ++done;
+    }
+  });
+  EXPECT_TRUE(saw_all.load());
+  EXPECT_EQ(done.load(), kN - 1);
 }
 
 TEST(ThreadPool, ResizeTakesEffectAndPreservesResults) {
