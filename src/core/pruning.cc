@@ -1,7 +1,6 @@
 #include "core/pruning.h"
 
 #include <cmath>
-#include <unordered_set>
 
 #include "common/metrics.h"
 #include "common/parallel.h"
@@ -40,12 +39,8 @@ Result<PruneResult> OfflinePrune(const Table& table,
       continue;
     }
 
-    // Count distinct non-null values (hash of Value).
-    std::unordered_set<Value, ValueHash> distinct;
-    for (size_t r = 0; r < n; ++r) {
-      if (col->IsValid(r)) distinct.insert(col->GetValue(r));
-    }
-    if (distinct.size() <= 1) {
+    const size_t distinct = col->DistinctCount();
+    if (distinct <= 1) {
       result.pruned.push_back({name, PruneReason::kConstant});
       continue;
     }
@@ -55,8 +50,8 @@ Result<PruneResult> OfflinePrune(const Table& table,
     // they get binned downstream.
     bool identifier_like = col->type() != DataType::kDouble;
     if (identifier_like &&
-        distinct.size() >= options.high_entropy_min_distinct && present > 0 &&
-        static_cast<double>(distinct.size()) >
+        distinct >= options.high_entropy_min_distinct && present > 0 &&
+        static_cast<double>(distinct) >
             options.max_distinct_fraction * static_cast<double>(present)) {
       result.pruned.push_back({name, PruneReason::kHighEntropy});
       continue;

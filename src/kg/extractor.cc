@@ -96,17 +96,18 @@ using ExtractedRows =
     std::vector<std::pair<std::string, std::map<std::string, Value>>>;
 
 // Distinct non-null key values of a string column, sorted for determinism.
-Result<std::set<std::string>> DistinctKeys(const Table& table,
-                                           const std::string& column) {
+Result<std::vector<std::string>> DistinctKeys(const Table& table,
+                                              const std::string& column) {
   MESA_ASSIGN_OR_RETURN(const Column* keys, table.ColumnByName(column));
   if (keys->type() != DataType::kString) {
     return Status::InvalidArgument(
         "extraction column must be string-valued: " + column);
   }
-  std::set<std::string> distinct;
-  for (size_t r = 0; r < keys->size(); ++r) {
-    if (keys->IsValid(r)) distinct.insert(keys->StringAt(r));
+  std::vector<std::string> distinct;
+  for (uint32_t code : keys->UsedCodes()) {
+    distinct.push_back(keys->dictionary()[code]);
   }
+  std::sort(distinct.begin(), distinct.end());
   return distinct;
 }
 
@@ -331,9 +332,8 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
                                 const ExtractionOptions& options,
                                 ExtractionStats* stats) {
   MESA_SPAN("kg/extract");
-  MESA_ASSIGN_OR_RETURN(std::set<std::string> distinct,
+  MESA_ASSIGN_OR_RETURN(const std::vector<std::string> keys,
                         DistinctKeys(table, column));
-  const std::vector<std::string> keys(distinct.begin(), distinct.end());
 
   ExtractionStats local_stats;
   local_stats.values_total = keys.size();
@@ -371,9 +371,8 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
                                 const ExtractionOptions& options,
                                 ExtractionStats* stats) {
   MESA_SPAN("kg/extract");
-  MESA_ASSIGN_OR_RETURN(std::set<std::string> distinct,
+  MESA_ASSIGN_OR_RETURN(const std::vector<std::string> keys,
                         DistinctKeys(table, column));
-  const std::vector<std::string> keys(distinct.begin(), distinct.end());
 
   ExtractionStats local_stats;
   local_stats.values_total = keys.size();

@@ -16,7 +16,7 @@ namespace {
 // Morsel size for the parallel build/probe scans; thread-count independent
 // so the decomposition (and with it the output row order) never changes.
 constexpr size_t kJoinMorselRows = 2048;
-// Below this row count the serial loops win outright.
+// Below this row count the index builds serially.
 constexpr size_t kJoinParallelThreshold = 4096;
 
 // Radix partition of a key value. A pure function of the value, so a key
@@ -115,60 +115,53 @@ Result<Table> HashJoin(const Table& left, const std::string& left_key,
   MESA_ASSIGN_OR_RETURN(const Column* lkey, left.ColumnByName(left_key));
 
   // Probe: per-morsel match buffers, concatenated in morsel index order —
-  // byte-for-byte the row order of a serial front-to-back probe.
-  std::vector<size_t> left_rows;
-  std::vector<int64_t> right_rows;  // -1 = unmatched (left join)
+  // byte-for-byte the row order of a serial front-to-back probe. An input
+  // of one morsel runs inline.
+  struct MorselMatches {
+    std::vector<size_t> left_rows;
+    std::vector<size_t> right_rows;  // Column::kNullRow = unmatched
+  };
   const size_t n = left.num_rows();
-  if (n < kJoinParallelThreshold) {
-    left_rows.reserve(n);
-    right_rows.reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      if (r % kJoinMorselRows == 0) CancelCheckpoint();
-      int64_t match = lkey->IsNull(r) ? -1 : index.Find(lkey->GetValue(r));
-      if (match < 0 && options.type == JoinType::kInner) continue;
-      left_rows.push_back(r);
-      right_rows.push_back(match);
-    }
-  } else {
-    struct MorselMatches {
-      std::vector<size_t> left_rows;
-      std::vector<int64_t> right_rows;
-    };
-    const size_t num_morsels = (n + kJoinMorselRows - 1) / kJoinMorselRows;
-    std::vector<MorselMatches> morsels(num_morsels);
-    ParallelFor(0, num_morsels, [&](size_t m) {
-      CancelCheckpoint();
-      MorselMatches& mm = morsels[m];
-      const size_t lo = m * kJoinMorselRows;
-      const size_t hi = std::min(n, lo + kJoinMorselRows);
-      for (size_t r = lo; r < hi; ++r) {
-        int64_t match = lkey->IsNull(r) ? -1 : index.Find(lkey->GetValue(r));
-        if (match < 0 && options.type == JoinType::kInner) continue;
-        mm.left_rows.push_back(r);
-        mm.right_rows.push_back(match);
+  const size_t num_morsels = (n + kJoinMorselRows - 1) / kJoinMorselRows;
+  std::vector<MorselMatches> morsels(num_morsels);
+  ParallelFor(0, num_morsels, [&](size_t m) {
+    CancelCheckpoint();
+    MorselMatches& mm = morsels[m];
+    const size_t lo = m * kJoinMorselRows;
+    const size_t hi = std::min(n, lo + kJoinMorselRows);
+    for (size_t r = lo; r < hi; ++r) {
+      size_t match = Column::kNullRow;
+      if (!lkey->IsNull(r)) {
+        const int64_t found = index.Find(lkey->GetValue(r));
+        if (found >= 0) match = static_cast<size_t>(found);
       }
-    });
-    // Concatenate the per-morsel buffers in morsel order via prefix
-    // offsets: every morsel knows its destination, so the copies run in
-    // parallel and the row order is exactly the serial probe's.
-    std::vector<size_t> offsets(num_morsels + 1, 0);
-    for (size_t m = 0; m < num_morsels; ++m) {
-      offsets[m + 1] = offsets[m] + morsels[m].left_rows.size();
+      if (match == Column::kNullRow && options.type == JoinType::kInner) {
+        continue;
+      }
+      mm.left_rows.push_back(r);
+      mm.right_rows.push_back(match);
     }
-    left_rows.resize(offsets.back());
-    right_rows.resize(offsets.back());
-    ParallelFor(0, num_morsels, [&](size_t m) {
-      const MorselMatches& mm = morsels[m];
-      std::copy(mm.left_rows.begin(), mm.left_rows.end(),
-                left_rows.begin() + offsets[m]);
-      std::copy(mm.right_rows.begin(), mm.right_rows.end(),
-                right_rows.begin() + offsets[m]);
-    });
+  });
+  // Concatenate the per-morsel buffers in morsel order via prefix
+  // offsets: every morsel knows its destination, so the copies run in
+  // parallel and the row order is exactly the serial probe's.
+  std::vector<size_t> offsets(num_morsels + 1, 0);
+  for (size_t m = 0; m < num_morsels; ++m) {
+    offsets[m + 1] = offsets[m] + morsels[m].left_rows.size();
   }
+  std::vector<size_t> left_rows(offsets.back());
+  std::vector<size_t> right_rows(offsets.back());
+  ParallelFor(0, num_morsels, [&](size_t m) {
+    const MorselMatches& mm = morsels[m];
+    std::copy(mm.left_rows.begin(), mm.left_rows.end(),
+              left_rows.begin() + offsets[m]);
+    std::copy(mm.right_rows.begin(), mm.right_rows.end(),
+              right_rows.begin() + offsets[m]);
+  });
 
-  // Assemble output: all left columns, then right columns minus its key.
-  // Output names (collision handling included) are resolved serially first;
-  // the per-column gathers are independent, so they run in parallel.
+  // Assemble output: all left columns, then right columns minus its key,
+  // both gathered by Take (unmatched rows gather nulls). Output names,
+  // collision handling included, are resolved before any right gather.
   Table out = left.TakeRows(left_rows);
   std::vector<std::pair<size_t, std::string>> kept;  // right col idx, name
   for (size_t c = 0; c < right.num_columns(); ++c) {
@@ -190,65 +183,10 @@ Result<Table> HashJoin(const Table& left, const std::string& left_key,
     kept.emplace_back(c, std::move(name));
   }
 
-  std::vector<Column> gathered;
-  gathered.reserve(kept.size());
   for (const auto& [c, name] : kept) {
-    (void)name;
-    gathered.emplace_back(right.schema().field(c).type);
-  }
-  // Gather a slice of the matched rows into `col`, with the exact per-row
-  // logic of the serial reference loop.
-  auto gather_range = [&](size_t k, size_t lo, size_t hi, Column* col) {
-    const Column& src = right.column(kept[k].first);
-    for (size_t i = lo; i < hi; ++i) {
-      int64_t rr = right_rows[i];
-      if (rr < 0 || src.IsNull(static_cast<size_t>(rr))) {
-        col->AppendNull();
-      } else {
-        Status st = col->Append(src.GetValue(static_cast<size_t>(rr)));
-        MESA_CHECK(st.ok());
-      }
-    }
-  };
-  const size_t out_rows = right_rows.size();
-  if (out_rows >= kJoinParallelThreshold) {
-    // Morsel-parallel over (column x fixed row chunk) fragments — so even
-    // a single wide gather scales — concatenated per column in chunk
-    // order. AppendFrom copies fragment runs verbatim, so the assembled
-    // column is byte-identical to the serial gather at any thread count.
-    const size_t num_chunks =
-        (out_rows + kJoinMorselRows - 1) / kJoinMorselRows;
-    std::vector<std::vector<Column>> fragments(kept.size());
-    for (size_t k = 0; k < kept.size(); ++k) {
-      fragments[k].reserve(num_chunks);
-      for (size_t c = 0; c < num_chunks; ++c) {
-        fragments[k].emplace_back(right.schema().field(kept[k].first).type);
-      }
-    }
-    ParallelFor(0, kept.size() * num_chunks, [&](size_t t) {
-      CancelCheckpoint();
-      const size_t k = t / num_chunks;
-      const size_t c = t % num_chunks;
-      const size_t lo = c * kJoinMorselRows;
-      const size_t hi = std::min(out_rows, lo + kJoinMorselRows);
-      gather_range(k, lo, hi, &fragments[k][c]);
-    });
-    ParallelFor(0, kept.size(), [&](size_t k) {
-      CancelCheckpoint();
-      for (const Column& fragment : fragments[k]) {
-        gathered[k].AppendFrom(fragment);
-      }
-    });
-  } else {
-    for (size_t k = 0; k < kept.size(); ++k) {
-      CancelCheckpoint();
-      gather_range(k, 0, out_rows, &gathered[k]);
-    }
-  }
-  for (size_t k = 0; k < kept.size(); ++k) {
-    const Field& f = right.schema().field(kept[k].first);
-    MESA_RETURN_IF_ERROR(
-        out.AddColumn({kept[k].second, f.type}, std::move(gathered[k])));
+    CancelCheckpoint();
+    MESA_RETURN_IF_ERROR(out.AddColumn({name, right.schema().field(c).type},
+                                       right.column(c).Take(right_rows)));
   }
   return out;
 }

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/metrics.h"
 #include "snapshot/crc32c.h"
@@ -335,6 +337,16 @@ Result<Table> SnapshotReader::ReadTable() const {
             return Corrupt("column " + names[i] + " row " +
                            std::to_string(row) +
                            " dictionary code out of range");
+          }
+        }
+        // Also unconditional: code-based readers (discretizer, distinct
+        // counts, the writer) would count a repeated entry twice.
+        std::unordered_set<std::string_view> entries;
+        entries.reserve(dict.size());
+        for (const std::string& entry : dict) {
+          if (!entries.insert(entry).second) {
+            return Corrupt("column " + names[i] +
+                           " dictionary repeats an entry");
           }
         }
         columns.push_back(Column::BorrowStringDict(

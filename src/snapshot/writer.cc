@@ -1,5 +1,6 @@
 #include "snapshot/writer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <unordered_map>
@@ -90,7 +91,7 @@ std::string EncodeStringList(const std::vector<std::string>& strings) {
 }
 
 /// First-occurrence-order string interner for the KG literal / alias
-/// dictionaries.
+/// pools.
 class StringInterner {
  public:
   uint32_t Intern(const std::string& s) {
@@ -159,21 +160,29 @@ void WriteColumn(FileBuilder* builder, uint32_t index, const Column& column) {
       break;
     }
     case DataType::kString: {
-      // Dictionary-encode: distinct values in first-occurrence order. Null
-      // rows code the empty string — the same dead payload an owned column
-      // carries — so fingerprints survive the round trip.
-      StringInterner dict;
-      static const std::string kEmpty;
+      // Re-code the dictionary in first-occurrence row order (entries
+      // never repeat, so equal content writes equal bytes). Null rows code
+      // "": the dictionary's own "" or a slot past its end.
+      const std::vector<std::string>& dict = column.dictionary();
+      const uint32_t* in_codes = column.code_data();
+      const size_t null_entry =
+          std::find(dict.begin(), dict.end(), "") - dict.begin();
+      constexpr uint32_t kUnseen = UINT32_MAX;
+      std::vector<uint32_t> remap(dict.size() + 1, kUnseen);
+      std::vector<std::string> out_dict;
       std::string codes;
       codes.reserve(rows * sizeof(uint32_t));
       for (size_t row = 0; row < rows; ++row) {
-        const std::string& value =
-            column.IsValid(row) ? column.StringAt(row) : kEmpty;
-        AppendPod(&codes, dict.Intern(value));
+        const size_t entry = column.IsValid(row) ? in_codes[row] : null_entry;
+        if (remap[entry] == kUnseen) {
+          remap[entry] = static_cast<uint32_t>(out_dict.size());
+          out_dict.push_back(entry < dict.size() ? dict[entry] : "");
+        }
+        AppendPod(&codes, remap[entry]);
       }
       builder->AddSection(SectionKind::kColumnDictCodes, index, codes);
       builder->AddSection(SectionKind::kColumnDict, index,
-                          EncodeStringList(dict.strings()));
+                          EncodeStringList(out_dict));
       break;
     }
     case DataType::kNull:

@@ -142,23 +142,23 @@ Result<Discretized> DiscretizeColumnUncached(const Column* col,
   const size_t n = col->size();
 
   if (col->type() == DataType::kString) {
-    // Fast path: code string columns without materialising Values. Codes
-    // are assigned in sorted label order for determinism.
-    std::map<std::string_view, int32_t> codes;
-    for (size_t r = 0; r < n; ++r) {
-      if (col->IsValid(r)) codes.emplace(col->StringAt(r), 0);
-    }
+    // Sort the dictionary entries valid rows use by their bytes once, then
+    // remap every row's code in one pass: labels in sorted order.
+    const std::vector<std::string>& dict = col->dictionary();
+    std::vector<uint32_t> used = col->UsedCodes();
+    std::sort(used.begin(), used.end(),
+              [&](uint32_t a, uint32_t b) { return dict[a] < dict[b]; });
+    std::vector<int32_t> remap(dict.size(), -1);
     Discretized out;
-    int32_t next = 0;
-    for (auto& [label, code] : codes) {
-      code = next++;
-      out.labels.emplace_back(label);
+    for (size_t i = 0; i < used.size(); ++i) {
+      remap[used[i]] = static_cast<int32_t>(i);
+      out.labels.push_back(dict[used[i]]);
     }
-    out.cardinality = next;
+    out.cardinality = static_cast<int32_t>(used.size());
     out.codes.resize(n);
+    const uint32_t* codes = col->code_data();
     for (size_t r = 0; r < n; ++r) {
-      out.codes[r] = col->IsValid(r) ? codes.find(col->StringAt(r))->second
-                                     : -1;
+      out.codes[r] = col->IsValid(r) ? remap[codes[r]] : -1;
     }
     return out;
   }

@@ -1,6 +1,9 @@
 #include "table/column.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <unordered_set>
 
 #include "common/cancel.h"
 #include "common/logging.h"
@@ -28,7 +31,7 @@ Column::Column(const Column& other)
       valid_(other.valid_),
       doubles_(other.doubles_),
       ints_(other.ints_),
-      strings_(other.strings_),
+      codes_(other.codes_),
       bools_(other.bools_) {
   // A borrowed copy shares the owner and keeps the borrowed pointers; an
   // owned copy must re-point at its *own* vectors, not the source's.
@@ -52,11 +55,12 @@ Column::Column(Column&& other) noexcept
       bool_ptr_(other.bool_ptr_),
       codes_ptr_(other.codes_ptr_),
       dict_(std::move(other.dict_)),
+      intern_slots_(std::move(other.intern_slots_)),
       owner_(std::move(other.owner_)),
       valid_(std::move(other.valid_)),
       doubles_(std::move(other.doubles_)),
       ints_(std::move(other.ints_)),
-      strings_(std::move(other.strings_)),
+      codes_(std::move(other.codes_)),
       bools_(std::move(other.bools_)) {
   // Vector moves transfer the heap buffer, so owned pointers stay valid;
   // re-sync anyway to keep the invariant obvious and the moved-from
@@ -64,7 +68,6 @@ Column::Column(Column&& other) noexcept
   if (owner_ == nullptr) SyncPointers();
   other.size_ = 0;
   other.null_count_ = 0;
-  other.codes_ptr_ = nullptr;
   other.SyncPointers();
 }
 
@@ -79,16 +82,16 @@ Column& Column::operator=(Column&& other) noexcept {
   bool_ptr_ = other.bool_ptr_;
   codes_ptr_ = other.codes_ptr_;
   dict_ = std::move(other.dict_);
+  intern_slots_ = std::move(other.intern_slots_);
   owner_ = std::move(other.owner_);
   valid_ = std::move(other.valid_);
   doubles_ = std::move(other.doubles_);
   ints_ = std::move(other.ints_);
-  strings_ = std::move(other.strings_);
+  codes_ = std::move(other.codes_);
   bools_ = std::move(other.bools_);
   if (owner_ == nullptr) SyncPointers();
   other.size_ = 0;
   other.null_count_ = 0;
-  other.codes_ptr_ = nullptr;
   other.SyncPointers();
   return *this;
 }
@@ -97,6 +100,7 @@ void Column::SyncPointers() {
   valid_ptr_ = valid_.data();
   double_ptr_ = doubles_.data();
   int_ptr_ = ints_.data();
+  codes_ptr_ = codes_.data();
   bool_ptr_ = bools_.data();
 }
 
@@ -111,11 +115,7 @@ void Column::EnsureOwned() {
       ints_.assign(int_ptr_, int_ptr_ + size_);
       break;
     case DataType::kString:
-      strings_.reserve(size_);
-      for (size_t row = 0; row < size_; ++row) {
-        strings_.push_back(dict_[codes_ptr_[row]]);
-      }
-      dict_.clear();
+      codes_.assign(codes_ptr_, codes_ptr_ + size_);
       break;
     case DataType::kBool:
       bools_.assign(bool_ptr_, bool_ptr_ + size_);
@@ -123,9 +123,35 @@ void Column::EnsureOwned() {
     case DataType::kNull:
       break;
   }
-  codes_ptr_ = nullptr;
   owner_.reset();
   SyncPointers();
+}
+
+uint32_t Column::Intern(std::string_view s) {
+  constexpr uint32_t kEmptySlot = UINT32_MAX;
+  // Linear probing: the slot holding `key`'s code, or the empty slot
+  // where it belongs.
+  auto slot_of = [&](std::string_view key) -> uint32_t& {
+    const size_t mask = intern_slots_.size() - 1;
+    size_t i = std::hash<std::string_view>{}(key) & mask;
+    while (intern_slots_[i] != kEmptySlot && dict_[intern_slots_[i]] != key) {
+      i = (i + 1) & mask;
+    }
+    return intern_slots_[i];
+  };
+  if (2 * (dict_.size() + 1) > intern_slots_.size()) {
+    // (Re)build at twice the needed size, so growth rehashes amortize.
+    intern_slots_.assign(std::bit_ceil(4 * (dict_.size() + 1)), kEmptySlot);
+    for (uint32_t code = 0; code < dict_.size(); ++code) {
+      slot_of(dict_[code]) = code;
+    }
+  }
+  uint32_t& slot = slot_of(s);
+  if (slot == kEmptySlot) {
+    slot = static_cast<uint32_t>(dict_.size());
+    dict_.emplace_back(s);
+  }
+  return slot;
 }
 
 void Column::AdoptValidity(size_t n, std::vector<uint8_t> valid) {
@@ -154,11 +180,12 @@ Column Column::FromInts(std::vector<int64_t> values,
   return c;
 }
 
-Column Column::FromStrings(std::vector<std::string> values,
+Column Column::FromStrings(const std::vector<std::string>& values,
                            std::vector<uint8_t> valid) {
   Column c(DataType::kString);
-  c.strings_ = std::move(values);
-  c.AdoptValidity(c.strings_.size(), std::move(valid));
+  c.codes_.reserve(values.size());
+  for (const std::string& s : values) c.codes_.push_back(c.Intern(s));
+  c.AdoptValidity(values.size(), std::move(valid));
   return c;
 }
 
@@ -272,7 +299,7 @@ void Column::AppendNull() {
       ints_.push_back(0);
       break;
     case DataType::kString:
-      strings_.emplace_back();
+      codes_.push_back(Intern(""));
       break;
     case DataType::kBool:
       bools_.push_back(0);
@@ -302,10 +329,10 @@ void Column::AppendInt(int64_t v) {
   SyncPointers();
 }
 
-void Column::AppendString(std::string v) {
+void Column::AppendString(std::string_view v) {
   MESA_DCHECK(type_ == DataType::kString);
   EnsureOwned();
-  strings_.push_back(std::move(v));
+  codes_.push_back(Intern(v));
   valid_.push_back(1);
   ++size_;
   SyncPointers();
@@ -375,7 +402,7 @@ Status Column::Set(size_t row, const Value& value) {
       if (!value.is_string()) {
         return Status::InvalidArgument("expected string value");
       }
-      strings_[row] = value.string_value();
+      codes_[row] = Intern(value.string_value());
       break;
     case DataType::kBool:
       if (!value.is_bool()) return Status::InvalidArgument("expected bool value");
@@ -410,14 +437,19 @@ uint64_t Column::ContentFingerprint() const {
     case DataType::kInt64:
       h = MixSeed(h, StableHash64Bytes(int_ptr_, size_ * sizeof(int64_t)));
       break;
-    case DataType::kString:
-      // Hash row strings in row order, dictionary-encoded or not, so the
-      // fingerprint is a function of content alone, not storage mode.
+    case DataType::kString: {
+      // Each entry hashed once, mixed per row in row order: a function of
+      // content alone, not of dictionary order or storage mode.
+      std::vector<uint64_t> entry_hash(dict_.size());
+      for (size_t code = 0; code < dict_.size(); ++code) {
+        entry_hash[code] =
+            StableHash64Bytes(dict_[code].data(), dict_[code].size());
+      }
       for (size_t row = 0; row < size_; ++row) {
-        const std::string& s = StringAt(row);
-        h = MixSeed(h, StableHash64Bytes(s.data(), s.size()));
+        h = MixSeed(h, entry_hash[codes_ptr_[row]]);
       }
       break;
+    }
     case DataType::kBool:
       h = MixSeed(h, StableHash64Bytes(bool_ptr_, size_));
       break;
@@ -427,39 +459,26 @@ uint64_t Column::ContentFingerprint() const {
   return h;
 }
 
-void Column::AppendFrom(const Column& src) {
-  MESA_CHECK(src.type_ == type_);
-  MESA_DCHECK(&src != this);
-  EnsureOwned();
-  const size_t n = src.size_;
-  valid_.insert(valid_.end(), src.valid_ptr_, src.valid_ptr_ + n);
-  switch (type_) {
-    case DataType::kDouble:
-      doubles_.insert(doubles_.end(), src.double_ptr_, src.double_ptr_ + n);
-      break;
-    case DataType::kInt64:
-      ints_.insert(ints_.end(), src.int_ptr_, src.int_ptr_ + n);
-      break;
-    case DataType::kString:
-      if (src.codes_ptr_ == nullptr) {
-        strings_.insert(strings_.end(), src.strings_.begin(),
-                        src.strings_.end());
-      } else {
-        // Dictionary-encoded source: materialize per row. Null rows code
-        // the empty string, matching AppendNull's dead payload.
-        strings_.reserve(strings_.size() + n);
-        for (size_t r = 0; r < n; ++r) strings_.push_back(src.StringAt(r));
-      }
-      break;
-    case DataType::kBool:
-      bools_.insert(bools_.end(), src.bool_ptr_, src.bool_ptr_ + n);
-      break;
-    case DataType::kNull:
-      break;
+size_t Column::DistinctCount() const {
+  if (type_ == DataType::kString) return UsedCodes().size();
+  std::unordered_set<Value, ValueHash> distinct;
+  for (size_t row = 0; row < size_; ++row) {
+    if (IsValid(row)) distinct.insert(GetValue(row));
   }
-  null_count_ += src.null_count_;
-  size_ += n;
-  SyncPointers();
+  return distinct.size();
+}
+
+std::vector<uint32_t> Column::UsedCodes() const {
+  MESA_DCHECK(type_ == DataType::kString);
+  std::vector<uint8_t> used(dict_.size(), 0);
+  for (size_t row = 0; row < size_; ++row) {
+    if (valid_ptr_[row] != 0) used[codes_ptr_[row]] = 1;
+  }
+  std::vector<uint32_t> codes;
+  for (uint32_t code = 0; code < used.size(); ++code) {
+    if (used[code] != 0) codes.push_back(code);
+  }
+  return codes;
 }
 
 namespace {
@@ -472,15 +491,15 @@ constexpr size_t kTakeParallelThreshold = 4096;
 
 // Gathers rows[lo, hi) into positions [lo, hi) of a presized output:
 // valid rows set their validity byte and `copy(i, row)` their payload;
-// null rows keep the zeroed byte and the default payload, exactly what
-// AppendNull writes. Returns the number of nulls seen.
+// null rows (and kNullRow entries) keep the zeroed byte and the default
+// payload, exactly what AppendNull writes. Returns the number of nulls.
 template <typename Copy>
 size_t GatherRange(const std::vector<size_t>& rows, size_t lo, size_t hi,
                    const uint8_t* valid, uint8_t* out_valid, Copy copy) {
   size_t nulls = 0;
   for (size_t i = lo; i < hi; ++i) {
     const size_t row = rows[i];
-    if (valid[row] == 0) {
+    if (row == Column::kNullRow || valid[row] == 0) {
       ++nulls;
       continue;
     }
@@ -503,9 +522,20 @@ Column Column::Take(const std::vector<size_t>& rows) const {
     case DataType::kInt64:
       out.ints_.resize(n);
       break;
-    case DataType::kString:
-      out.strings_.resize(n);
+    case DataType::kString: {
+      // Gathered nulls code "" like AppendNull's; the copy gains "" only
+      // if a null can be gathered (Intern indexes dict_ lazily).
+      out.dict_ = dict_;
+      const size_t empty = std::find(dict_.begin(), dict_.end(), "") -
+                           dict_.begin();
+      if (empty == dict_.size() &&
+          (null_count_ > 0 ||
+           std::find(rows.begin(), rows.end(), kNullRow) != rows.end())) {
+        out.dict_.emplace_back();
+      }
+      out.codes_.assign(n, static_cast<uint32_t>(empty));
       break;
+    }
     case DataType::kBool:
       out.bools_.resize(n);
       break;
@@ -528,7 +558,7 @@ Column Column::Take(const std::vector<size_t>& rows) const {
       case DataType::kString:
         return GatherRange(rows, lo, hi, valid_ptr_, out_valid,
                            [&](size_t i, size_t row) {
-                             out.strings_[i] = StringAt(row);
+                             out.codes_[i] = codes_ptr_[row];
                            });
       case DataType::kBool:
         return GatherRange(rows, lo, hi, valid_ptr_, out_valid,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -15,21 +16,18 @@ namespace mesa {
 /// one contiguous run of the physical type plus a parallel validity run.
 /// Null slots hold a default payload that must never be read.
 ///
-/// A column is in one of two storage modes:
+/// A string column's payload is a `uint32_t` code run into a dictionary
+/// that holds each distinct string once (entries never repeat). Null rows
+/// appended or gathered code ""; `SetNull` keeps the row's old code.
 ///
-/// - **owned** (the default): payload and validity live in member vectors,
-///   exactly as a `TableBuilder` / CSV load produces them.
-/// - **borrowed** (zero-copy): payload and validity are `const` pointers
-///   into memory kept alive by an opaque `owner` handle — in practice a
-///   snapshot's mmap'd file (`src/snapshot/reader.h`). String columns
-///   borrow a `uint32_t` code array and materialize only the dictionary
-///   (one `std::string` per *distinct* value), so `StringAt` still returns
-///   a `const std::string&` without per-row materialization.
-///
-/// Every read accessor behaves identically in both modes. Mutating a
-/// borrowed column (Append / Set / SetNull) first detaches it — the
-/// borrowed runs are copied into owned vectors — so snapshot-backed tables
-/// stay safe under the missing-data machinery's in-place edits.
+/// The runs are either **owned** (member vectors) or **borrowed**: `const`
+/// pointers into memory kept alive by an opaque `owner` handle, in
+/// practice a snapshot's mmap'd file (`src/snapshot/reader.h`); the
+/// dictionary is always owned. Every read accessor behaves identically in
+/// both modes. Mutating a borrowed column (Append / Set / SetNull) first
+/// detaches it by copying its runs into owned vectors, so snapshot-backed
+/// tables stay safe under the missing-data machinery's in-place edits.
+/// Only mutators intern strings, so concurrent readers touch no lazy state.
 class Column {
  public:
   /// Creates an empty column of the given type. kNull-typed columns are not
@@ -49,7 +47,7 @@ class Column {
                             std::vector<uint8_t> valid = {});
   static Column FromInts(std::vector<int64_t> values,
                          std::vector<uint8_t> valid = {});
-  static Column FromStrings(std::vector<std::string> values,
+  static Column FromStrings(const std::vector<std::string>& values,
                             std::vector<uint8_t> valid = {});
   static Column FromBools(std::vector<uint8_t> values,
                           std::vector<uint8_t> valid = {});
@@ -67,10 +65,10 @@ class Column {
   static Column BorrowBools(const uint8_t* payload, const uint8_t* valid,
                             size_t n, size_t null_count,
                             std::shared_ptr<const void> owner);
-  /// Dictionary-encoded zero-copy string column: row i reads
-  /// `dict[codes[i]]`. Every code must be < dict.size() (the snapshot
-  /// reader validates this before borrowing). Null rows must code the
-  /// empty string so content fingerprints match an owned equivalent.
+  /// Zero-copy string column: row i reads `dict[codes[i]]`. Every code
+  /// must be < dict.size() and no entry may repeat (the snapshot reader
+  /// validates both before borrowing). Null rows must code the empty
+  /// string so content fingerprints match an owned equivalent.
   static Column BorrowStringDict(std::vector<std::string> dict,
                                  const uint32_t* codes, const uint8_t* valid,
                                  size_t n, size_t null_count,
@@ -103,7 +101,7 @@ class Column {
   /// Typed appends (no per-call type dispatch).
   void AppendDouble(double v);
   void AppendInt(int64_t v);
-  void AppendString(std::string v);
+  void AppendString(std::string_view v);
   void AppendBool(bool v);
 
   /// Reads a cell as a dynamically typed Value (Null if invalid).
@@ -114,7 +112,7 @@ class Column {
   double DoubleAt(size_t row) const { return double_ptr_[row]; }
   int64_t IntAt(size_t row) const { return int_ptr_[row]; }
   const std::string& StringAt(size_t row) const {
-    return codes_ptr_ != nullptr ? dict_[codes_ptr_[row]] : strings_[row];
+    return dict_[codes_ptr_[row]];
   }
   bool BoolAt(size_t row) const { return bool_ptr_[row] != 0; }
 
@@ -128,19 +126,20 @@ class Column {
   /// Marks an existing slot null (used by missing-data injection).
   void SetNull(size_t row);
 
-  /// Appends every row of `src` (same type required), nulls included.
-  /// Payload and validity runs are concatenated verbatim — a bulk vector
-  /// insert when `src` is owned — so chaining AppendFrom over fragments
-  /// built by per-row appends is byte-identical to issuing those appends
-  /// sequentially on one column. This is the concatenation primitive the
-  /// order-stable parallel join assembly is built on.
-  void AppendFrom(const Column& src);
+  /// A `Take` row index that gathers a null (e.g. an unmatched join row).
+  static constexpr size_t kNullRow = static_cast<size_t>(-1);
 
   /// Gathers the given rows into a new (owned) column, presized once.
-  /// Large gathers run morsel-parallel over fixed row chunks that each
-  /// fill a disjoint output range — byte-identical to the serial gather
-  /// (and to per-row appends) at any thread count.
+  /// Strings gather codes, never per-row strings. Large gathers run
+  /// morsel-parallel over fixed row chunks that each fill a disjoint
+  /// output range — byte-identical to the serial gather (and to per-row
+  /// appends) at any thread count.
   Column Take(const std::vector<size_t>& rows) const;
+
+  /// Distinct values among valid rows (numeric equality as `Value`).
+  size_t DistinctCount() const;
+  /// String columns: the codes valid rows use, each once, ascending.
+  std::vector<uint32_t> UsedCodes() const;
 
   /// Stable 64-bit hash of the column's content: type, length, validity
   /// bitmap, and payload. Columns with equal fingerprints are treated as
@@ -157,6 +156,8 @@ class Column {
   const double* double_data() const { return double_ptr_; }
   const int64_t* int_data() const { return int_ptr_; }
   const uint8_t* bool_data() const { return bool_ptr_; }
+  const uint32_t* code_data() const { return codes_ptr_; }
+  const std::vector<std::string>& dictionary() const { return dict_; }
   const uint8_t* validity_data() const { return valid_ptr_; }
 
  private:
@@ -172,6 +173,9 @@ class Column {
   /// No-op in owned mode. Called by every mutator.
   void EnsureOwned();
 
+  /// Code of `s` in the dictionary, appended if absent. Mutators only.
+  uint32_t Intern(std::string_view s);
+
   DataType type_;
   size_t size_ = 0;
   size_t null_count_ = 0;
@@ -182,11 +186,13 @@ class Column {
   const double* double_ptr_ = nullptr;
   const int64_t* int_ptr_ = nullptr;
   const uint8_t* bool_ptr_ = nullptr;
-  const uint32_t* codes_ptr_ = nullptr;  ///< borrowed string mode only.
+  const uint32_t* codes_ptr_ = nullptr;
 
-  /// Borrowed-string dictionary: one string per distinct value; rows read
-  /// dict_[codes_ptr_[row]].
+  /// String dictionary: rows read dict_[codes_ptr_[row]].
   std::vector<std::string> dict_;
+  /// Intern's open-addressing table of dict_ codes (UINT32_MAX = empty),
+  /// at most half full; built lazily and never copied.
+  std::vector<uint32_t> intern_slots_;
 
   /// Keeps borrowed memory alive (e.g. a snapshot mapping); null in owned
   /// mode.
@@ -197,7 +203,7 @@ class Column {
   std::vector<uint8_t> valid_;
   std::vector<double> doubles_;
   std::vector<int64_t> ints_;
-  std::vector<std::string> strings_;
+  std::vector<uint32_t> codes_;
   std::vector<uint8_t> bools_;
 };
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -249,15 +250,14 @@ void ParseMorsel(std::string_view text, char delim,
   }
 }
 
-// One output column's storage, filled in place: morsel k writes rows
-// [row_base[k], row_base[k] + rows) of every column, so concatenation in
+// One numeric or bool output column's storage, filled in place: morsel k
+// writes rows [row_base[k], row_base[k] + rows), so concatenation in
 // morsel order is free. Only the payload run of the column's type is used.
 struct ColumnOut {
   std::vector<uint8_t> valid;
   std::vector<int64_t> ints;
   std::vector<double> doubles;
   std::vector<uint8_t> bools;
-  std::vector<std::string> strings;
 
   ColumnOut(DataType type, size_t n) : valid(n, 0) {
     switch (type) {
@@ -270,10 +270,7 @@ struct ColumnOut {
       case DataType::kBool:
         bools.resize(n);
         break;
-      case DataType::kString:
-        strings.resize(n);
-        break;
-      case DataType::kNull:
+      default:
         break;
     }
   }
@@ -283,29 +280,28 @@ struct ColumnOut {
       const Cell& cell = cells[r];
       if (cell.kind == Cell::kNull) continue;
       const size_t row = base + r;
-      valid[row] = 1;
       switch (type) {
         case DataType::kInt64:
           ints[row] = cell.i;
           break;
-        case DataType::kDouble:
+        case DataType::kDouble: {
           // An integer cell of a double column parses again, so its bits
           // are strtod's (e.g. "-0" is -0.0, not the int 0).
-          if (cell.kind == Cell::kInt) {
-            ParseDouble(cell.text, &doubles[row]);
-          } else {
-            doubles[row] = cell.d;
-          }
+          double d = cell.d;
+          if (cell.kind == Cell::kInt) ParseDouble(cell.text, &d);
+          // A spelling strtod reads as NaN ("-nan", "NaN(7)") is null, like
+          // the "nan" token: a valid NaN would code like some real value.
+          if (std::isnan(d)) continue;
+          doubles[row] = d;
           break;
+        }
         case DataType::kBool:
           bools[row] = cell.b ? 1 : 0;
           break;
-        case DataType::kString:
-          strings[row].assign(cell.text);
-          break;
-        case DataType::kNull:
+        default:
           break;
       }
+      valid[row] = 1;
     }
   }
 
@@ -315,10 +311,8 @@ struct ColumnOut {
         return Column::FromInts(std::move(ints), std::move(valid));
       case DataType::kDouble:
         return Column::FromDoubles(std::move(doubles), std::move(valid));
-      case DataType::kBool:
-        return Column::FromBools(std::move(bools), std::move(valid));
       default:
-        return Column::FromStrings(std::move(strings), std::move(valid));
+        return Column::FromBools(std::move(bools), std::move(valid));
     }
   }
 };
@@ -473,19 +467,38 @@ Result<Table> ReadCsvString(const std::string& input,
     MESA_RETURN_IF_ERROR(schema.AddField({header[c], t}));
   }
 
+  // Numeric and bool columns fill each morsel's row range in parallel.
+  // String columns intern their cells in row order, one column per task,
+  // so each dictionary comes out in first-appearance order with no merge.
   std::vector<ColumnOut> out;
   out.reserve(ncols);
-  for (size_t c = 0; c < ncols; ++c) out.emplace_back(types[c], nrows);
+  for (size_t c = 0; c < ncols; ++c) {
+    out.emplace_back(types[c], types[c] == DataType::kString ? 0 : nrows);
+  }
   ParallelFor(0, morsels.size(), [&](size_t k) {
     for (size_t c = 0; c < ncols; ++c) {
+      if (types[c] == DataType::kString) continue;
       out[c].Fill(types[c], morsels[k].columns[c].cells, row_base[k]);
     }
   });
   std::vector<Column> columns;
   columns.reserve(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    columns.push_back(std::move(out[c]).Finish(types[c]));
-  }
+  for (size_t c = 0; c < ncols; ++c) columns.emplace_back(types[c]);
+  ParallelFor(0, ncols, [&](size_t c) {
+    if (types[c] != DataType::kString) {
+      columns[c] = std::move(out[c]).Finish(types[c]);
+      return;
+    }
+    for (const Morsel& m : morsels) {
+      for (const Cell& cell : m.columns[c].cells) {
+        if (cell.kind == Cell::kNull) {
+          columns[c].AppendNull();
+        } else {
+          columns[c].AppendString(cell.text);
+        }
+      }
+    }
+  });
   return Table::Make(std::move(schema), std::move(columns));
 }
 

@@ -128,11 +128,7 @@ std::vector<ColumnProfile> ProfileColumns(const Table& table) {
     p.name = table.schema().field(c).name;
     p.type = col.type();
     p.nulls = col.null_count();
-    std::unordered_set<Value, ValueHash> distinct;
-    for (size_t r = 0; r < col.size(); ++r) {
-      if (col.IsValid(r)) distinct.insert(col.GetValue(r));
-    }
-    p.distinct = distinct.size();
+    p.distinct = col.DistinctCount();
     out.push_back(std::move(p));
   }
   return out;

@@ -229,16 +229,17 @@ void ExpectRows(const Table& t, const Synthetic& s,
   }
 }
 
-// Builds header + padding so that byte `header + kCsvMorselBytes` (the
-// first cut's search start) lies `shift` bytes into `special`, then one
-// more morsel of padding.
+// Builds header + padding rows made by `pad` so that byte `header +
+// kCsvMorselBytes` (the first cut's search start) lies `shift` bytes into
+// `special`, then one more morsel of padding.
 template <typename AddSpecial>
-Synthetic Straddle(const std::string& header, size_t shift,
-                   const AddSpecial& add_special) {
+Synthetic Straddle(
+    const std::string& header, size_t shift, const AddSpecial& add_special,
+    const std::function<std::vector<std::string>(size_t)>& pad = PadRow) {
   Synthetic s(header);
-  s.PadTo(header.size() + kCsvMorselBytes - shift, PadRow, 1);
+  s.PadTo(header.size() + kCsvMorselBytes - shift, pad, 1);
   add_special(&s);
-  s.PadTo(s.text.size() + kCsvMorselBytes + 100, PadRow, 1);
+  s.PadTo(s.text.size() + kCsvMorselBytes + 100, pad, 1);
   return s;
 }
 
@@ -291,6 +292,36 @@ TEST(CsvParallel, BlankLinesAndNullTokensStraddlingACut) {
       ExpectRows(*t, s, {DataType::kInt64, DataType::kString},
                  "shift " + std::to_string(shift) + " threads " +
                      std::to_string(threads));
+    });
+  }
+}
+
+// Spellings strtod reads as NaN are null in a double column, like "nan".
+void AddNanSpellings(Synthetic* s) {
+  s->Add("11,-nan\n", {"11", std::nullopt});
+  s->Add("12,NaN(7)\n", {"12", std::nullopt});
+  s->Add("13,nan\n", {"13", std::nullopt});
+  s->Add("14,-NAN\r\n", {"14", std::nullopt});
+  s->Add("15,2.5\n", {"15", "2.5"});
+  s->Add("16,\"nan(0x1)\"\n", {"16", std::nullopt});
+}
+
+TEST(CsvParallel, NanSpellingsInADoubleColumnStraddlingACut) {
+  const auto pad = [](size_t i) {
+    return std::vector<std::string>{std::to_string(i),
+                                    std::to_string(i) + ".5"};
+  };
+  Synthetic probe("");
+  AddNanSpellings(&probe);
+  for (size_t shift = 0; shift <= probe.text.size(); ++shift) {
+    const Synthetic s = Straddle("id,x\n", shift, AddNanSpellings, pad);
+    AtEachThreadCount([&](size_t threads) {
+      auto t = ReadCsvString(s.text);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      ExpectRows(*t, s, {DataType::kInt64, DataType::kDouble},
+                 "shift " + std::to_string(shift) + " threads " +
+                     std::to_string(threads));
+      EXPECT_EQ(t->column(1).null_count(), 5u);
     });
   }
 }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "stats/discretizer.h"
 #include "table/csv.h"
 
 namespace mesa {
@@ -31,6 +32,31 @@ TEST(CsvRead, NullTokens) {
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->schema().field(0).type, DataType::kInt64);
   EXPECT_EQ(t->column(0).null_count(), 3u);
+}
+
+// strtod reads "-nan" and "NaN(7)" as NaN; such cells of a double column
+// are null like the "nan" token, on both the inferred and the declared
+// path, or the discretizer would code them like a real value.
+TEST(CsvRead, NanSpellingsInDoubleColumnsAreNull) {
+  const std::string text = "x\n1.5\nnan\n-nan\nNaN(7)\n2.5\n0.5\n";
+  CsvReadOptions declared;
+  declared.declared_types = {{"x", DataType::kDouble}};
+  for (const CsvReadOptions& options : {CsvReadOptions{}, declared}) {
+    auto t = ReadCsvString(text, options);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    ASSERT_EQ(t->schema().field(0).type, DataType::kDouble);
+    EXPECT_EQ(t->column(0).null_count(), 3u);
+    for (size_t r : {1, 2, 3}) EXPECT_TRUE(t->column(0).IsNull(r)) << r;
+    auto coded = DiscretizeColumn(*t, "x");
+    ASSERT_TRUE(coded.ok()) << coded.status().ToString();
+    EXPECT_EQ(coded->codes, (std::vector<int32_t>{1, -1, -1, -1, 2, 0}));
+  }
+  // In a string column the same spellings stay text.
+  auto s = ReadCsvString("s\n-nan\nNaN(7)\nabc\n");
+  ASSERT_TRUE(s.ok());
+  ASSERT_EQ(s->schema().field(0).type, DataType::kString);
+  EXPECT_EQ(s->column(0).null_count(), 0u);
+  EXPECT_EQ(s->column(0).StringAt(0), "-nan");
 }
 
 TEST(CsvRead, QuotedFields) {

@@ -150,7 +150,9 @@ GroupByResult OracleGroupBy(const Table& table,
 }
 
 // Naive join oracle: right key -> first right row holding it, probed left
-// row by left row. Checks the schema and every output cell of `joined`.
+// row by left row. Checks the schema and every output cell of `joined`,
+// and that each output column fingerprints like one built by per-row
+// appends (so null rows carry AppendNull's dead payload, "" for strings).
 void ExpectJoinMatchesOracle(const Table& left, const std::string& left_key,
                              const Table& right, const std::string& right_key,
                              JoinType type, const Table& joined,
@@ -179,6 +181,10 @@ void ExpectJoinMatchesOracle(const Table& left, const std::string& left_key,
         << what << " col " << nl + k;
   }
 
+  std::vector<Column> appended;
+  for (size_t c = 0; c < joined.num_columns(); ++c) {
+    appended.emplace_back(joined.schema().field(c).type);
+  }
   const Column* lkey = *left.ColumnByName(left_key);
   size_t out = 0;
   for (size_t l = 0; l < left.num_rows(); ++l) {
@@ -192,6 +198,7 @@ void ExpectJoinMatchesOracle(const Table& left, const std::string& left_key,
     for (size_t c = 0; c < nl; ++c) {
       ASSERT_TRUE(joined.column(c).GetValue(out) == left.column(c).GetValue(l))
           << what << " left col " << c << " row " << out;
+      ASSERT_TRUE(appended[c].Append(left.column(c).GetValue(l)).ok());
     }
     for (size_t k = 0; k < right_cols.size(); ++k) {
       const Value expected =
@@ -200,10 +207,16 @@ void ExpectJoinMatchesOracle(const Table& left, const std::string& left_key,
                           static_cast<size_t>(match));
       ASSERT_TRUE(joined.column(nl + k).GetValue(out) == expected)
           << what << " right col " << k << " row " << out;
+      ASSERT_TRUE(appended[nl + k].Append(expected).ok());
     }
     ++out;
   }
   ASSERT_EQ(out, joined.num_rows()) << what;
+  for (size_t c = 0; c < joined.num_columns(); ++c) {
+    EXPECT_EQ(joined.column(c).ContentFingerprint(),
+              appended[c].ContentFingerprint())
+        << what << " col " << c;
+  }
 }
 
 // ------------------------------------------------------------- group-by
@@ -275,7 +288,8 @@ TEST(QueryParallel, GroupByWithContextAndEmptyResult) {
 
 // ------------------------------------------------------------- hash join
 
-// Right side: one row per key plus deliberate duplicates and null keys.
+// Right side: one row per key plus deliberate duplicates and null keys;
+// the string payload has nulls and empty strings, and 5 keys dangle.
 Table MakeRightTable(uint64_t seed) {
   Rng rng(seed);
   Column key(DataType::kString);
@@ -286,7 +300,8 @@ Table MakeRightTable(uint64_t seed) {
       if (rep == 1 && k % 3 != 0) continue;
       key.AppendString("key_" + std::to_string(k));
       attr.AppendDouble(rng.NextGaussian());
-      label.AppendString("label_" + std::to_string(rng.NextBelow(100)));
+      const std::string drawn = "label_" + std::to_string(rng.NextBelow(100));
+      label.AppendString(k % 5 == 4 ? "" : drawn);
     }
     key.AppendNull();
     attr.AppendDouble(rng.NextGaussian());
@@ -503,7 +518,9 @@ TEST(QueryParallel, HashJoinLargeSingleColumnBitIdentical) {
   for (size_t k = 0; k < 2500; ++k) {  // 500 left keys dangle
     rkey.AppendString("r_" + std::to_string(k));
     if (k % 7 == 0) {
-      attr.AppendNull();  // null payloads exercise AppendFrom's dict path
+      attr.AppendNull();  // null payloads gather the empty string's code
+    } else if (k % 7 == 3) {
+      attr.AppendString("");  // a valid "" shares that code
     } else {
       attr.AppendString("attr_" + std::to_string(rng.NextBelow(50)));
     }

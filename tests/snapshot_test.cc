@@ -7,8 +7,9 @@
 //    (the writer is deterministic);
 //  - hostile-input suites: truncation at every byte boundary, bad magic,
 //    future version, flipped payload bytes, misaligned section offsets,
-//    and out-of-bounds dictionary codes must all yield a clean error
-//    Status — never a crash — with checksum verification on AND off;
+//    out-of-bounds dictionary codes and a repeated column-dictionary
+//    entry must all yield a clean error Status — never a crash — with
+//    checksum verification on AND off;
 //  - serving parity: a Router over a NAME=file.msnap dataset must reply
 //    byte-identically to a Router over the CSV + KG the snapshot was
 //    built from, at 1, 2, and 8 pool threads.
@@ -44,7 +45,8 @@ namespace {
 struct AlignedImage {
   explicit AlignedImage(const std::string& bytes)
       : words((bytes.size() + 7) / 8, 0), size(bytes.size()) {
-    std::memcpy(words.data(), bytes.data(), bytes.size());
+    // An empty image has no buffer; memcpy from/to null is undefined.
+    if (size > 0) std::memcpy(words.data(), bytes.data(), size);
   }
   const uint8_t* data() const {
     return reinterpret_cast<const uint8_t*>(words.data());
@@ -261,6 +263,40 @@ TEST(SnapshotRoundTrip, BorrowedColumnsDetachOnWrite) {
   EXPECT_TRUE(table.column(0).GetValue(0) == again->column(0).GetValue(0));
 }
 
+TEST(SnapshotRoundTrip, BorrowedStringColumnDetachesWithValuesUnchanged) {
+  Table table = MakeRandomTable(9);
+  std::string bytes = MustSerialize(table, nullptr);
+  auto image = std::make_shared<AlignedImage>(bytes);
+  auto reader = OpenImage(image);
+  ASSERT_TRUE(reader.ok());
+  auto loaded = reader->ReadTable();
+  ASSERT_TRUE(loaded.ok());
+
+  Column& column = loaded->mutable_column(2);
+  ASSERT_EQ(column.type(), DataType::kString);
+  ASSERT_TRUE(column.is_borrowed());
+  const Column before = column;
+  const size_t rows = column.size();
+  ASSERT_GT(rows, 1u);
+  const uint64_t fingerprint = column.ContentFingerprint();
+  // Appending a string the dictionary already holds detaches the column
+  // by copying its code run; every old row reads as before.
+  column.AppendString(before.dictionary().front());
+  EXPECT_FALSE(column.is_borrowed());
+  EXPECT_NE(column.code_data(), before.code_data());
+  ASSERT_EQ(column.size(), rows + 1);
+  for (size_t row = 0; row < rows; ++row) {
+    ASSERT_EQ(column.IsValid(row), before.IsValid(row)) << row;
+    ASSERT_EQ(column.StringAt(row), before.StringAt(row)) << row;
+  }
+  EXPECT_EQ(column.StringAt(rows), before.dictionary().front());
+  EXPECT_EQ(column.dictionary(), before.dictionary());
+  // The borrowed copy still reads the mapping, unchanged.
+  EXPECT_TRUE(before.is_borrowed());
+  EXPECT_EQ(before.ContentFingerprint(), fingerprint);
+  EXPECT_EQ(before.ContentFingerprint(), table.column(2).ContentFingerprint());
+}
+
 TEST(SnapshotRoundTrip, TableOnlySnapshotHasNoKg) {
   Table table = MakeRandomTable(3);
   std::string bytes = MustSerialize(table, nullptr);
@@ -469,6 +505,43 @@ TEST_F(SnapshotHostileTest, OutOfBoundsDictionaryCode) {
     EXPECT_FALSE(TryLoad(bytes, /*verify=*/true).ok());
   }
   ASSERT_TRUE(found) << "test table lost its string column";
+}
+
+TEST_F(SnapshotHostileTest, RepeatedColumnDictionaryEntry) {
+  // A column whose dictionary is "alpha", "gamma", "" (null rows code "").
+  auto table = Table::Make(
+      Schema({{"s", DataType::kString}}),
+      {Column::FromStrings({"alpha", "gamma", "alpha", ""}, {1, 1, 1, 0})});
+  ASSERT_TRUE(table.ok());
+  bytes_ = MustSerialize(*table, nullptr);
+  ASSERT_TRUE(TryLoad(bytes_, /*verify=*/true).ok());
+
+  // Overwrite "gamma" with "alpha" in the dictionary blob and refresh the
+  // section checksum, so only the repeated entry is wrong.
+  const Footer footer = ReadFooter();
+  const std::vector<SectionEntry> sections = ReadSections(footer);
+  bool found = false;
+  for (size_t i = 0; i < sections.size(); ++i) {
+    SectionEntry entry = sections[i];
+    if (entry.kind != static_cast<uint32_t>(SectionKind::kColumnDict)) {
+      continue;
+    }
+    found = true;
+    std::string bytes = bytes_;
+    const size_t gamma = bytes.find("gamma", entry.offset);
+    ASSERT_LT(gamma, entry.offset + entry.size);
+    bytes.replace(gamma, 5, "alpha");
+    entry.crc32c = Crc32c(bytes.data() + entry.offset, entry.size);
+    PatchSection(&bytes, footer, i, entry);
+    for (bool verify : {true, false}) {
+      Status status = TryLoad(bytes, verify);
+      ASSERT_FALSE(status.ok()) << "verify " << verify;
+      EXPECT_EQ(StatusCode::kInvalidArgument, status.code());
+      EXPECT_NE(std::string::npos, status.message().find("repeats"))
+          << status.ToString();
+    }
+  }
+  ASSERT_TRUE(found) << "no column dictionary section";
 }
 
 TEST_F(SnapshotHostileTest, GarbageFiles) {

@@ -1,6 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/retry.h"
+#include "common/rng.h"
+#include "snapshot/reader.h"
+#include "snapshot/writer.h"
 #include "table/column.h"
+#include "table/csv.h"
 #include "table/schema.h"
 #include "table/table.h"
 #include "table/table_builder.h"
@@ -158,6 +171,163 @@ TEST(Column, NumericAt) {
   Column b = Column::FromBools({1, 0});
   EXPECT_DOUBLE_EQ(b.NumericAt(0), 1.0);
   EXPECT_DOUBLE_EQ(b.NumericAt(1), 0.0);
+}
+
+TEST(Column, TakeNullRowGathersANull) {
+  Column d = Column::FromDoubles({1.5, -0.0});
+  Column t = d.Take({1, Column::kNullRow, 0});
+  ASSERT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.null_count(), 1u);
+  EXPECT_TRUE(t.IsNull(1));
+  EXPECT_TRUE(std::signbit(t.DoubleAt(0)));
+  EXPECT_EQ(t.DoubleAt(2), 1.5);
+  // A string column without "" in its dictionary gains it for the null.
+  Column s = Column::FromStrings({"a", "b"});
+  Column u = s.Take({Column::kNullRow, 1});
+  EXPECT_TRUE(u.IsNull(0));
+  EXPECT_EQ(u.StringAt(0), "");
+  EXPECT_EQ(u.StringAt(1), "b");
+}
+
+TEST(Column, InternKeepsOneDictionaryEntryPerString) {
+  Column c(DataType::kString);
+  for (size_t i = 0; i < 20000; ++i) {
+    c.AppendString("v" + std::to_string(i * 7919 % 3001));
+    if (i % 13 == 0) c.AppendNull();
+  }
+  ASSERT_TRUE(c.Set(5, Value::String("fresh")).ok());
+  std::set<std::string> distinct;
+  for (size_t r = 0; r < c.size(); ++r) {
+    ASSERT_LT(c.code_data()[r], c.dictionary().size());
+    if (c.IsValid(r)) distinct.insert(c.StringAt(r));
+  }
+  const std::set<std::string> entries(c.dictionary().begin(),
+                                      c.dictionary().end());
+  EXPECT_EQ(entries.size(), c.dictionary().size()) << "repeated entry";
+  EXPECT_EQ(c.DistinctCount(), distinct.size());
+  EXPECT_EQ(c.UsedCodes().size(), distinct.size());
+}
+
+TEST(Column, DistinctCountCountsValidValues) {
+  Column s = Column::FromStrings({"a", "b", "a", ""}, {1, 1, 1, 0});
+  EXPECT_EQ(s.DistinctCount(), 2u);
+  // "b" stays in the dictionary but no row uses it any more.
+  ASSERT_TRUE(s.Set(1, Value::String("a")).ok());
+  EXPECT_EQ(s.DistinctCount(), 1u);
+  EXPECT_EQ(s.dictionary().size(), 3u);
+  // Non-string columns count distinct Values: -0.0 equals 0.0.
+  EXPECT_EQ(Column::FromDoubles({0.0, -0.0, 1.0}).DistinctCount(), 2u);
+  EXPECT_EQ(Column::FromInts({1, 1, 2}, {1, 1, 0}).DistinctCount(), 1u);
+  EXPECT_EQ(Column::FromBools({1, 0, 1}).DistinctCount(), 2u);
+  EXPECT_EQ(Column(DataType::kString).DistinctCount(), 0u);
+}
+
+// ----------------------------------------------------- string layout
+
+// The definition ContentFingerprint must equal for a string column: the
+// type, length and validity run, then every row's string hashed in row
+// order (dead payloads under nulls included).
+uint64_t NaiveStringFingerprint(const Column& c) {
+  uint64_t h = MixSeed(static_cast<uint64_t>(c.type()), c.size());
+  h = MixSeed(h, StableHash64Bytes(c.validity_data(), c.size()));
+  for (size_t r = 0; r < c.size(); ++r) {
+    const std::string& s = c.StringAt(r);
+    h = MixSeed(h, StableHash64Bytes(s.data(), s.size()));
+  }
+  return h;
+}
+
+std::string SnapshotBytes(const Column& column) {
+  auto table = Table::Make(Schema({{"s", column.type()}}), {column});
+  EXPECT_TRUE(table.ok());
+  snapshot::SnapshotWriter writer;
+  writer.SetTable(&*table);
+  auto bytes = writer.Serialize();
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return *bytes;
+}
+
+// Round-trips `column` through a snapshot image; the result borrows its
+// code run from the image.
+Column ViaSnapshot(const Column& column) {
+  const std::string bytes = SnapshotBytes(column);
+  // The reader needs an 8-aligned base.
+  auto words = std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) / 8);
+  std::memcpy(words->data(), bytes.data(), bytes.size());
+  auto reader = snapshot::SnapshotReader::FromBuffer(
+      reinterpret_cast<const uint8_t*>(words->data()), bytes.size(), words);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  auto table = reader->ReadTable();
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table->column(0);
+}
+
+Column AppendedStrings() {
+  Column c(DataType::kString);
+  for (const char* s : {"x", "", "y", "x", "\xc3\xa9t\xc3\xa9", "y"}) {
+    c.AppendString(s);
+  }
+  c.AppendNull();
+  c.AppendString("z");
+  return c;
+}
+
+TEST(Column, StringFingerprintMatchesPerRowHashing) {
+  std::vector<std::pair<std::string, Column>> cases;
+  const Column appended = AppendedStrings();
+  cases.emplace_back("appended", appended);
+  cases.emplace_back(
+      "factory", Column::FromStrings({"b", "", "a", "b", ""}, {1, 1, 1, 1, 0}));
+  auto csv = ReadCsvString("n,s\n1,b\n2,\n3,\"a,b\"\n4,b\n5,NA\n");
+  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
+  ASSERT_EQ(csv->column(1).type(), DataType::kString);
+  cases.emplace_back("csv", csv->column(1));
+  const Column borrowed = ViaSnapshot(appended);
+  ASSERT_TRUE(borrowed.is_borrowed());
+  cases.emplace_back("borrowed", borrowed);
+  cases.emplace_back("take", appended.Take({7, Column::kNullRow, 6, 0, 1, 0}));
+  cases.emplace_back("borrowed take", borrowed.Take({3, Column::kNullRow, 2}));
+  Column mutated = appended;
+  ASSERT_TRUE(mutated.Set(0, Value::String("new")).ok());
+  ASSERT_TRUE(mutated.Set(6, Value::String("y")).ok());  // was null
+  mutated.SetNull(2);  // keeps "y" as its dead payload
+  cases.emplace_back("set", mutated);
+  Column borrowed_mutated = borrowed;
+  borrowed_mutated.SetNull(4);
+  EXPECT_FALSE(borrowed_mutated.is_borrowed());
+  cases.emplace_back("borrowed set", borrowed_mutated);
+  for (const auto& [what, column] : cases) {
+    EXPECT_EQ(column.ContentFingerprint(), NaiveStringFingerprint(column))
+        << what;
+  }
+  // Storage mode and dictionary order do not enter the fingerprint.
+  EXPECT_EQ(borrowed.ContentFingerprint(), appended.ContentFingerprint());
+  EXPECT_EQ(mutated.StringAt(2), "y");
+}
+
+TEST(Column, EqualContentWritesEqualSnapshotBytes) {
+  const Column fresh =
+      Column::FromStrings({"b", "a", "", "c", ""}, {1, 1, 0, 1, 1});
+  const std::string want = SnapshotBytes(fresh);
+
+  // Take from a column whose dictionary holds an unused entry and lacks
+  // "" until the gathered null needs it.
+  const Column source = Column::FromStrings({"zz", "c", "b", "a", ""});
+  EXPECT_EQ(SnapshotBytes(source.Take({2, 3, Column::kNullRow, 1, 4})), want);
+
+  // Set leaves the replaced string unused in the dictionary; SetNull keeps
+  // the row's old code as its dead payload.
+  Column set = Column::FromStrings({"q", "a", "r", "c", "s"});
+  ASSERT_TRUE(set.Set(0, Value::String("b")).ok());
+  set.SetNull(2);
+  ASSERT_TRUE(set.Set(4, Value::String("")).ok());
+  EXPECT_EQ(SnapshotBytes(set), want);
+
+  // A borrowed column mutated in place writes the same bytes too.
+  Column borrowed = ViaSnapshot(Column::FromStrings({"b", "a", "x", "c", ""}));
+  ASSERT_TRUE(borrowed.is_borrowed());
+  borrowed.SetNull(2);
+  EXPECT_EQ(SnapshotBytes(borrowed), want);
 }
 
 // ----------------------------------------------------------------- Table
