@@ -179,8 +179,8 @@ void Run() {
                 ThreadSweepJson("fig5_so20000_prepare_mcimr", timings).c_str());
   }
 
-  // Preprocess data-plane thread sweep: the morsel-driven group-by /
-  // hash-join / extraction paths at 1 / 2 / 4 pool threads, reported
+  // Preprocess data-plane thread sweep: the morsel-driven hash-join /
+  // extraction paths at 1 / 2 / 4 pool threads, reported
   // against the 1-thread arm. Every arm computes byte-identical tables and
   // reports (asserted in tests/query_parallel_test.cc), so the ratio IS the
   // speedup. Both memo caches are cleared inside each run — the arms must

@@ -7,9 +7,13 @@
 //   ./build/examples/covid_confounders
 
 #include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "core/mesa.h"
 #include "datagen/registry.h"
+#include "query/aggregate.h"
 #include "query/group_by.h"
 
 using namespace mesa;
@@ -20,18 +24,31 @@ int main() {
   auto ds = MakeDataset(DatasetKind::kCovid, {});
   if (!ds.ok()) return 1;
 
-  // What Ann sees first: the grouped aggregate itself.
-  auto grouped = GroupByAggregate(ds->table, "Country",
-                                  "Deaths_per_100_cases",
-                                  AggregateFunction::kAvg);
-  if (!grouped.ok()) return 1;
+  // What Ann sees first: the grouped aggregate itself, one serial pass.
+  std::vector<Value> countries;
+  auto codes = EncodeGroups(ds->table, "Country", &countries);
+  auto deaths = ds->table.ColumnByName("Deaths_per_100_cases");
+  if (!codes.ok() || !deaths.ok()) return 1;
+  std::vector<AggregateAccumulator> accs(
+      countries.size(), AggregateAccumulator(AggregateFunction::kAvg));
+  for (size_t r = 0; r < codes->size(); ++r) {
+    if ((*codes)[r] >= 0 && (*deaths)->IsValid(r)) {
+      accs[(*codes)[r]].Add((*deaths)->NumericAt(r));
+    }
+  }
+  std::map<std::string, double> by_country;  // sorted by country
+  for (size_t g = 0; g < countries.size(); ++g) {
+    if (accs[g].count() > 0) {
+      by_country[countries[g].string_value()] = *accs[g].Finalize();
+    }
+  }
   std::printf("SELECT Country, avg(Deaths_per_100_cases) FROM Covid GROUP BY "
               "Country\n");
-  std::printf("(%zu countries; first five)\n", grouped->groups.size());
-  for (size_t i = 0; i < 5 && i < grouped->groups.size(); ++i) {
-    std::printf("  %-14s %.2f\n",
-                grouped->groups[i].group.ToString().c_str(),
-                grouped->groups[i].aggregate);
+  std::printf("(%zu countries; first five)\n", by_country.size());
+  size_t shown = 0;
+  for (const auto& [country, avg] : by_country) {
+    if (shown++ == 5) break;
+    std::printf("  %-14s %.2f\n", country.c_str(), avg);
   }
 
   // MESA explains the puzzling spread.

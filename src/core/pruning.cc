@@ -1,5 +1,6 @@
 #include "core/pruning.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/metrics.h"
@@ -39,16 +40,33 @@ Result<PruneResult> OfflinePrune(const Table& table,
       continue;
     }
 
-    const size_t distinct = col->DistinctCount();
-    if (distinct <= 1) {
-      result.pruned.push_back({name, PruneReason::kConstant});
-      continue;
-    }
     // High-entropy filter: near-unique *identifier-like* attributes
     // (wikiID, keys, URLs) — string or native-integer columns. Continuous
     // measurements (double) are naturally unique per entity and exempt;
     // they get binned downstream.
-    bool identifier_like = col->type() != DataType::kDouble;
+    const bool identifier_like = col->type() != DataType::kDouble;
+    // Count distinct values only up to the smallest count that settles
+    // both tests below: 2 for "constant", and for identifier-like columns
+    // the least d with d >= high_entropy_min_distinct and
+    // d > max_distinct_fraction * present (capped at present + 1, which
+    // no count reaches).
+    size_t limit = 2;
+    if (identifier_like) {
+      const double settles = std::max(
+          static_cast<double>(options.high_entropy_min_distinct),
+          std::floor(options.max_distinct_fraction *
+                     static_cast<double>(present)) +
+              1.0);
+      limit = std::max<size_t>(
+          limit, settles > static_cast<double>(present)
+                     ? present + 1
+                     : static_cast<size_t>(settles));
+    }
+    const size_t distinct = col->DistinctCountAtMost(limit);
+    if (distinct <= 1) {
+      result.pruned.push_back({name, PruneReason::kConstant});
+      continue;
+    }
     if (identifier_like &&
         distinct >= options.high_entropy_min_distinct && present > 0 &&
         static_cast<double>(distinct) >

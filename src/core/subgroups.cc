@@ -5,6 +5,7 @@
 
 #include "info/contingency.h"
 #include "info/mutual_information.h"
+#include "query/group_by.h"
 
 namespace mesa {
 

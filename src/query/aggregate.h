@@ -8,7 +8,8 @@
 
 namespace mesa {
 
-/// Aggregation functions supported by the group-by engine.
+/// Aggregation functions: the agg(O) of the supported query class, and the
+/// folding of one-to-many KG values in extraction.
 enum class AggregateFunction {
   kAvg,
   kSum,

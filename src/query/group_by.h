@@ -2,56 +2,12 @@
 #define MESA_QUERY_GROUP_BY_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
-#include "query/aggregate.h"
-#include "query/predicate.h"
 #include "table/table.h"
 
 namespace mesa {
-
-/// One output row of a grouped aggregate.
-struct GroupResult {
-  Value group;       ///< The (first) exposure value T = t_i.
-  /// All grouping values, in grouping-attribute order (size 1 for the
-  /// single-exposure case; group == values[0]).
-  std::vector<Value> values;
-  double aggregate = 0.0;  ///< agg(O) over the group.
-  size_t count = 0;        ///< Group size (rows contributing).
-};
-
-/// Result of a grouped aggregate query: one row per group, plus the total
-/// number of input rows that passed the WHERE clause.
-struct GroupByResult {
-  std::vector<GroupResult> groups;
-  size_t input_rows = 0;
-
-  /// Converts to a two-column table [group_column, agg_name(outcome)].
-  Result<Table> ToTable(const std::string& group_column,
-                        const std::string& agg_column) const;
-};
-
-/// Executes `SELECT group_col, agg(outcome_col) FROM table WHERE context
-/// GROUP BY group_col`. Rows with null group or null outcome are skipped
-/// (SQL semantics: aggregates ignore NULL; NULL group keys are dropped here
-/// because the explanation problem has no use for them). Groups are returned
-/// sorted by group value for determinism.
-Result<GroupByResult> GroupByAggregate(const Table& table,
-                                       const std::string& group_col,
-                                       const std::string& outcome_col,
-                                       AggregateFunction agg,
-                                       const Conjunction& context = {});
-
-/// Composite-key variant: groups by every column in `group_cols` (the
-/// multiple-grouping-attribute generalisation). Rows with a null in any
-/// grouping column are dropped.
-Result<GroupByResult> GroupByAggregate(const Table& table,
-                                       const std::vector<std::string>& group_cols,
-                                       const std::string& outcome_col,
-                                       AggregateFunction agg,
-                                       const Conjunction& context = {});
 
 /// Maps every row of `table` to a dense group id in [0, n_groups) according
 /// to the value of `column` (nulls get id -1). Used by the information-

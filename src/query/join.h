@@ -25,9 +25,10 @@ struct JoinOptions {
 };
 
 /// The build side of a hash join, reusable across probes: right key ->
-/// first row holding it. Extraction joins the same entity table against
-/// several probe sides; building once and passing the index by const ref
-/// skips the redundant rebuilds. The index is radix-partitioned on the key
+/// first row holding it. `HashJoin(left, left_key, right, right_key)`
+/// builds one per call; a caller that probes one right side several times
+/// can build it once and pass it by const ref to the index overload. The
+/// index is radix-partitioned on the key
 /// hash so construction can proceed partition-parallel; the partition of a
 /// key is a pure function of its value, so the finished structure — and
 /// which duplicate row wins — is identical at any thread count.

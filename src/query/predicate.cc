@@ -59,26 +59,8 @@ Result<int> CompareValues(const Value& a, const Value& b) {
                                  DataTypeName(b.type()));
 }
 
-}  // namespace
-
-std::string Condition::ToString() const {
-  if (op == CompareOp::kIn) {
-    std::string out = column + " IN (";
-    for (size_t i = 0; i < in_values.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += QuoteLiteral(in_values[i]);
-    }
-    out += ")";
-    return out;
-  }
-  return column + " " + CompareOpName(op) + " " + QuoteLiteral(value);
-}
-
-bool operator==(const Condition& a, const Condition& b) {
-  return a.column == b.column && a.op == b.op && a.value == b.value &&
-         a.in_values == b.in_values;
-}
-
+// Evaluates one condition against one row (false on null cell). Fails if
+// the column is missing or the comparison is type-incompatible.
 Result<bool> EvalCondition(const Condition& cond, const Table& table,
                            size_t row) {
   MESA_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(cond.column));
@@ -111,10 +93,24 @@ Result<bool> EvalCondition(const Condition& cond, const Table& table,
   return Status::Internal("bad op");
 }
 
-Conjunction Conjunction::Refine(Condition extra) const {
-  Conjunction out = *this;
-  out.Add(std::move(extra));
-  return out;
+}  // namespace
+
+std::string Condition::ToString() const {
+  if (op == CompareOp::kIn) {
+    std::string out = column + " IN (";
+    for (size_t i = 0; i < in_values.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += QuoteLiteral(in_values[i]);
+    }
+    out += ")";
+    return out;
+  }
+  return column + " " + CompareOpName(op) + " " + QuoteLiteral(value);
+}
+
+bool operator==(const Condition& a, const Condition& b) {
+  return a.column == b.column && a.op == b.op && a.value == b.value &&
+         a.in_values == b.in_values;
 }
 
 bool Conjunction::Contains(const Conjunction& other) const {

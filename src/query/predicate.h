@@ -52,9 +52,6 @@ class Conjunction {
 
   void Add(Condition c) { conditions_.push_back(std::move(c)); }
 
-  /// New conjunction = this AND extra.
-  Conjunction Refine(Condition extra) const;
-
   /// True if every condition of `other` appears in this conjunction (i.e.
   /// this is `other` or a refinement of it).
   bool Contains(const Conjunction& other) const;
@@ -78,11 +75,6 @@ class Conjunction {
  private:
   std::vector<Condition> conditions_;
 };
-
-/// Evaluates one condition against one row (false on null cell). Fails if
-/// the column is missing or the comparison is type-incompatible.
-Result<bool> EvalCondition(const Condition& cond, const Table& table,
-                           size_t row);
 
 }  // namespace mesa
 

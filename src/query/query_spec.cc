@@ -58,9 +58,4 @@ Status QuerySpec::Validate(const Table& table) const {
   return Status::OK();
 }
 
-Result<GroupByResult> QuerySpec::Execute(const Table& table) const {
-  MESA_RETURN_IF_ERROR(Validate(table));
-  return GroupByAggregate(table, AllExposures(), outcome, aggregate, context);
-}
-
 }  // namespace mesa

@@ -5,7 +5,6 @@
 
 #include "common/result.h"
 #include "query/aggregate.h"
-#include "query/group_by.h"
 #include "query/predicate.h"
 #include "table/table.h"
 
@@ -39,9 +38,6 @@ struct QuerySpec {
   /// Validates the spec against a table: columns exist, outcome numeric,
   /// exposures != outcome, no duplicate exposure.
   Status Validate(const Table& table) const;
-
-  /// Executes the query.
-  Result<GroupByResult> Execute(const Table& table) const;
 };
 
 }  // namespace mesa

@@ -1,6 +1,7 @@
 #include "snapshot/reader.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <string_view>
 #include <unordered_set>
@@ -286,9 +287,17 @@ Result<Table> SnapshotReader::ReadTable() const {
         if (n != rows * sizeof(double)) {
           return Corrupt("column " + names[i] + " payload size mismatch");
         }
-        columns.push_back(Column::BorrowDoubles(
-            reinterpret_cast<const double*>(payload), valid, rows, null_count,
-            owner_));
+        // A Column never holds a valid NaN (it stores one as null), and
+        // the writer never emits one.
+        const double* doubles = reinterpret_cast<const double*>(payload);
+        for (uint64_t row = 0; row < rows; ++row) {
+          if (valid[row] != 0 && std::isnan(doubles[row])) {
+            return Corrupt("column " + names[i] + " row " +
+                           std::to_string(row) + " holds a NaN");
+          }
+        }
+        columns.push_back(
+            Column::BorrowDoubles(doubles, valid, rows, null_count, owner_));
         break;
       }
       case DataType::kInt64: {

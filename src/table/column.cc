@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <functional>
 #include <unordered_set>
 
@@ -169,6 +170,14 @@ Column Column::FromDoubles(std::vector<double> values,
   Column c(DataType::kDouble);
   c.doubles_ = std::move(values);
   c.AdoptValidity(c.doubles_.size(), std::move(valid));
+  for (size_t i = 0; i < c.size_; ++i) {
+    if (!std::isnan(c.doubles_[i])) continue;
+    c.doubles_[i] = 0.0;
+    if (c.valid_[i] != 0) {
+      c.valid_[i] = 0;
+      ++c.null_count_;
+    }
+  }
   return c;
 }
 
@@ -313,6 +322,10 @@ void Column::AppendNull() {
 
 void Column::AppendDouble(double v) {
   MESA_DCHECK(type_ == DataType::kDouble);
+  if (std::isnan(v)) {
+    AppendNull();
+    return;
+  }
   EnsureOwned();
   doubles_.push_back(v);
   valid_.push_back(1);
@@ -382,7 +395,8 @@ double Column::NumericAt(size_t row) const {
 
 Status Column::Set(size_t row, const Value& value) {
   if (row >= size()) return Status::OutOfRange("row out of range");
-  if (value.is_null()) {
+  if (value.is_null() || (type_ == DataType::kDouble && value.is_double() &&
+                           std::isnan(value.double_value()))) {
     SetNull(row);
     return Status::OK();
   }
@@ -459,13 +473,23 @@ uint64_t Column::ContentFingerprint() const {
   return h;
 }
 
-size_t Column::DistinctCount() const {
-  if (type_ == DataType::kString) return UsedCodes().size();
-  std::unordered_set<Value, ValueHash> distinct;
-  for (size_t row = 0; row < size_; ++row) {
-    if (IsValid(row)) distinct.insert(GetValue(row));
+size_t Column::DistinctCountAtMost(size_t limit) const {
+  if (type_ == DataType::kString) {
+    std::vector<uint8_t> seen(dict_.size(), 0);
+    size_t count = 0;
+    for (size_t row = 0; row < size_ && count < limit; ++row) {
+      if (valid_ptr_[row] != 0 && seen[codes_ptr_[row]] == 0) {
+        seen[codes_ptr_[row]] = 1;
+        ++count;
+      }
+    }
+    return count;
   }
-  return distinct.size();
+  std::unordered_set<Value, ValueHash> seen;
+  for (size_t row = 0; row < size_ && seen.size() < limit; ++row) {
+    if (IsValid(row)) seen.insert(GetValue(row));
+  }
+  return seen.size();
 }
 
 std::vector<uint32_t> Column::UsedCodes() const {

@@ -16,6 +16,9 @@ namespace mesa {
 /// one contiguous run of the physical type plus a parallel validity run.
 /// Null slots hold a default payload that must never be read.
 ///
+/// A double column never holds a valid NaN: `FromDoubles`, `AppendDouble`
+/// and `Set` store one as null, as the CSV reader does.
+///
 /// A string column's payload is a `uint32_t` code run into a dictionary
 /// that holds each distinct string once (entries never repeat). Null rows
 /// appended or gathered code ""; `SetNull` keeps the row's old code.
@@ -136,8 +139,10 @@ class Column {
   /// appends) at any thread count.
   Column Take(const std::vector<size_t>& rows) const;
 
-  /// Distinct values among valid rows (numeric equality as `Value`).
-  size_t DistinctCount() const;
+  /// min(distinct values among valid rows, `limit`), with numeric
+  /// equality as `Value` (-0.0 == 0.0). The scan stops as soon as `limit`
+  /// distinct values have been seen.
+  size_t DistinctCountAtMost(size_t limit) const;
   /// String columns: the codes valid rows use, each once, ascending.
   std::vector<uint32_t> UsedCodes() const;
 

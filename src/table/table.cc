@@ -59,16 +59,6 @@ Status Table::AddColumn(Field field, Column column) {
   return Status::OK();
 }
 
-Status Table::DropColumn(const std::string& name) {
-  auto idx = schema_.IndexOf(name);
-  if (!idx.has_value()) return Status::NotFound("no such column: " + name);
-  std::vector<Field> fields = schema_.fields();
-  fields.erase(fields.begin() + static_cast<ptrdiff_t>(*idx));
-  columns_.erase(columns_.begin() + static_cast<ptrdiff_t>(*idx));
-  schema_ = Schema(std::move(fields));
-  return Status::OK();
-}
-
 Result<Table> Table::Select(const std::vector<std::string>& names) const {
   Schema schema;
   std::vector<Column> cols;
@@ -95,16 +85,6 @@ Table Table::TakeRows(const std::vector<size_t>& rows) const {
     for (const auto& col : columns_) out.columns_.push_back(col.Take(rows));
   }
   return out;
-}
-
-Table Table::FilterRows(const std::vector<uint8_t>& mask) const {
-  MESA_CHECK(mask.size() == num_rows());
-  std::vector<size_t> rows;
-  rows.reserve(mask.size());
-  for (size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) rows.push_back(i);
-  }
-  return TakeRows(rows);
 }
 
 std::string Table::ToString(size_t max_rows) const {

@@ -41,17 +41,11 @@ class Table {
   /// empty of columns).
   Status AddColumn(Field field, Column column);
 
-  /// Removes the named column.
-  Status DropColumn(const std::string& name);
-
   /// New table with only the named columns, in the given order.
   Result<Table> Select(const std::vector<std::string>& names) const;
 
   /// New table with the given rows (indices may repeat / reorder).
   Table TakeRows(const std::vector<size_t>& rows) const;
-
-  /// New table keeping rows where mask[i] != 0. mask.size() == num_rows().
-  Table FilterRows(const std::vector<uint8_t>& mask) const;
 
   /// Pretty-prints up to `max_rows` rows (for examples / debugging).
   std::string ToString(size_t max_rows = 10) const;

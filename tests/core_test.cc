@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -226,6 +228,109 @@ TEST(OfflinePrune, HighEntropyStringIds) {
   EXPECT_EQ(r->pruned[0].reason, PruneReason::kHighEntropy);
   // Continuous unique values are exempt.
   EXPECT_EQ(r->kept, std::vector<std::string>{"x"});
+}
+
+TEST(OfflinePrune, VerdictMatchesExactDistinctCountOracle) {
+  // 120 rows, every 7th null: 102 present. Column "<type>_<d>" holds d
+  // distinct values, on both sides of each threshold the options below
+  // put at 2 (constant), high_entropy_min_distinct and
+  // max_distinct_fraction * present.
+  const size_t kRows = 120;
+  std::vector<uint8_t> valid(kRows);
+  for (size_t r = 0; r < kRows; ++r) valid[r] = r % 7 == 0 ? 0 : 1;
+  const size_t present = kRows - 18;
+  Schema schema;
+  std::vector<Column> columns;
+  std::vector<std::string> names;
+  std::map<std::string, size_t> oracle;  // exact distinct count per column
+  auto add = [&](const std::string& name, Column col, size_t distinct) {
+    ASSERT_TRUE(schema.AddField({name, col.type()}).ok());
+    columns.push_back(std::move(col));
+    names.push_back(name);
+    oracle[name] = distinct;
+  };
+  for (size_t d : {1, 2, 3, 15, 16, 17, 20, 21, 22, 39, 40, 41, 91, 92, 93,
+                   102}) {
+    std::vector<int64_t> ints(kRows, 0);
+    std::vector<double> doubles(kRows, 0.0);
+    std::vector<std::string> strings(kRows);
+    std::set<int64_t> int_set;
+    std::set<double> double_set;
+    std::set<std::string> string_set;
+    for (size_t r = 0, j = 0; r < kRows; ++r) {
+      if (!valid[r]) continue;
+      ints[r] = static_cast<int64_t>((j * 37) % d);
+      doubles[r] = 0.5 * static_cast<double>(ints[r]);
+      strings[r] = "s" + std::to_string(ints[r]);
+      int_set.insert(ints[r]);
+      double_set.insert(doubles[r]);
+      string_set.insert(strings[r]);
+      ++j;
+    }
+    add("int_" + std::to_string(d), Column::FromInts(ints, valid),
+        int_set.size());
+    add("double_" + std::to_string(d), Column::FromDoubles(doubles, valid),
+        double_set.size());
+    add("string_" + std::to_string(d), Column::FromStrings(strings, valid),
+        string_set.size());
+  }
+  // Signed zeros are one value; bools have at most two.
+  std::vector<double> zeros(kRows);
+  std::vector<uint8_t> bools(kRows);
+  std::set<double> zero_set;
+  std::set<uint8_t> bool_set;
+  for (size_t r = 0; r < kRows; ++r) {
+    zeros[r] = r % 2 == 0 ? 0.0 : -0.0;
+    bools[r] = r % 3 == 0 ? 1 : 0;
+    if (valid[r]) {
+      zero_set.insert(zeros[r]);
+      bool_set.insert(bools[r]);
+    }
+  }
+  add("double_signed_zero", Column::FromDoubles(zeros, valid),
+      zero_set.size());
+  add("bool_2", Column::FromBools(bools, valid), bool_set.size());
+  EXPECT_EQ(oracle["int_93"], 93u);
+  EXPECT_EQ(oracle["double_signed_zero"], 1u);
+  auto table = Table::Make(std::move(schema), std::move(columns));
+  ASSERT_TRUE(table.ok());
+
+  OfflinePruneOptions defaults;                    // settles at 92
+  OfflinePruneOptions min_dominates;               // settles at 40
+  min_dominates.high_entropy_min_distinct = 40;
+  min_dominates.max_distinct_fraction = 0.2;
+  OfflinePruneOptions every_split;                 // settles at 2
+  every_split.high_entropy_min_distinct = 0;
+  every_split.max_distinct_fraction = 0.0;
+  OfflinePruneOptions unreachable;                 // never high-entropy
+  unreachable.max_distinct_fraction = 2.0;
+  for (const OfflinePruneOptions& options :
+       {defaults, min_dominates, every_split, unreachable}) {
+    PruneResult expected;
+    for (const std::string& name : names) {
+      const size_t d = oracle[name];
+      const bool identifier_like = name.rfind("double_", 0) != 0;
+      if (d <= 1) {
+        expected.pruned.push_back({name, PruneReason::kConstant});
+      } else if (identifier_like && d >= options.high_entropy_min_distinct &&
+                 static_cast<double>(d) >
+                     options.max_distinct_fraction *
+                         static_cast<double>(present)) {
+        expected.pruned.push_back({name, PruneReason::kHighEntropy});
+      } else {
+        expected.kept.push_back(name);
+      }
+    }
+    auto r = OfflinePrune(*table, names, options);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->kept, expected.kept);
+    ASSERT_EQ(r->pruned.size(), expected.pruned.size());
+    for (size_t i = 0; i < expected.pruned.size(); ++i) {
+      EXPECT_EQ(r->pruned[i].name, expected.pruned[i].name);
+      EXPECT_EQ(r->pruned[i].reason, expected.pruned[i].reason)
+          << expected.pruned[i].name;
+    }
+  }
 }
 
 TEST(OfflinePrune, MissingColumnErrors) {

@@ -12,7 +12,7 @@
 namespace mesa {
 namespace {
 
-// ------------------------------------------ composite group-by semantics
+// -------------------------------------------------- QuerySpec composite
 
 Table Sales() {
   return *ReadCsvString(
@@ -24,57 +24,6 @@ Table Sales() {
       "south,gadget,2\n"
       "south,gadget,4\n");
 }
-
-TEST(CompositeGroupBy, GroupsByTuple) {
-  Table t = Sales();
-  auto r = GroupByAggregate(t, std::vector<std::string>{"region", "product"}, "units",
-                            AggregateFunction::kAvg);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->groups.size(), 4u);
-  // Sorted tuple order: (north,gadget), (north,widget), (south,gadget),
-  // (south,widget).
-  EXPECT_EQ(r->groups[0].values[0].string_value(), "north");
-  EXPECT_EQ(r->groups[0].values[1].string_value(), "gadget");
-  EXPECT_DOUBLE_EQ(r->groups[0].aggregate, 5.0);
-  EXPECT_DOUBLE_EQ(r->groups[1].aggregate, 15.0);
-  EXPECT_DOUBLE_EQ(r->groups[2].aggregate, 3.0);
-  EXPECT_EQ(r->groups[3].count, 1u);
-  // `group` mirrors the first tuple element.
-  EXPECT_EQ(r->groups[0].group, r->groups[0].values[0]);
-}
-
-TEST(CompositeGroupBy, SingleColumnPathEquivalent) {
-  Table t = Sales();
-  auto single = GroupByAggregate(t, "region", "units",
-                                 AggregateFunction::kSum);
-  auto composite = GroupByAggregate(t, std::vector<std::string>{"region"},
-                                    "units", AggregateFunction::kSum);
-  ASSERT_TRUE(single.ok() && composite.ok());
-  ASSERT_EQ(single->groups.size(), composite->groups.size());
-  for (size_t i = 0; i < single->groups.size(); ++i) {
-    EXPECT_EQ(single->groups[i].group, composite->groups[i].group);
-    EXPECT_DOUBLE_EQ(single->groups[i].aggregate,
-                     composite->groups[i].aggregate);
-  }
-}
-
-TEST(CompositeGroupBy, NullInAnyKeyColumnDropsRow) {
-  Table t = *ReadCsvString("a,b,x\np,q,1\n,q,2\np,,3\n");
-  auto r = GroupByAggregate(t, std::vector<std::string>{"a", "b"}, "x", AggregateFunction::kCount);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->groups.size(), 1u);
-  EXPECT_EQ(r->groups[0].count, 1u);
-}
-
-TEST(CompositeGroupBy, EmptyColumnListRejected) {
-  Table t = Sales();
-  EXPECT_FALSE(
-      GroupByAggregate(t, std::vector<std::string>{}, "units",
-                       AggregateFunction::kAvg)
-          .ok());
-}
-
-// -------------------------------------------------- QuerySpec composite
 
 TEST(MultiExposureSpec, AccessorsAndSql) {
   QuerySpec q;
@@ -102,9 +51,6 @@ TEST(MultiExposureSpec, ValidateRejectsDuplicatesAndOutcomeOverlap) {
   EXPECT_FALSE(q.Validate(t).ok());
   q.secondary_exposures = {"product"};
   EXPECT_TRUE(q.Validate(t).ok());
-  auto r = q.Execute(t);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->groups.size(), 4u);
 }
 
 // ------------------------------------------------------ parser composite

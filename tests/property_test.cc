@@ -12,7 +12,6 @@
 #include "core/mcimr.h"
 #include "core/pruning.h"
 #include "core/responsibility.h"
-#include "query/group_by.h"
 #include "query/join.h"
 #include "stats/discretizer.h"
 #include "table/csv.h"
@@ -77,39 +76,6 @@ TEST_P(CsvRoundTripProperty, RandomTablesSurvive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsvRoundTripProperty,
                          testing::Range<uint64_t>(1, 9));
-
-// --------------------------------------------------- group-by invariants
-
-class GroupByProperty : public testing::TestWithParam<uint64_t> {};
-
-TEST_P(GroupByProperty, CountsAndBoundsHold) {
-  Rng rng(GetParam() * 31);
-  Table t = RandomTable(&rng, 200);
-  auto r = GroupByAggregate(t, "key", "num", AggregateFunction::kAvg);
-  ASSERT_TRUE(r.ok());
-  size_t total = 0;
-  for (const auto& g : r->groups) {
-    EXPECT_GT(g.count, 0u);
-    total += g.count;
-  }
-  EXPECT_LE(total, r->input_rows);
-  // avg lies within [min, max] per group.
-  auto mins = GroupByAggregate(t, "key", "num", AggregateFunction::kMin);
-  auto maxs = GroupByAggregate(t, "key", "num", AggregateFunction::kMax);
-  ASSERT_TRUE(mins.ok() && maxs.ok());
-  ASSERT_EQ(mins->groups.size(), r->groups.size());
-  for (size_t i = 0; i < r->groups.size(); ++i) {
-    EXPECT_GE(r->groups[i].aggregate, mins->groups[i].aggregate - 1e-9);
-    EXPECT_LE(r->groups[i].aggregate, maxs->groups[i].aggregate + 1e-9);
-  }
-  // Groups are sorted and unique.
-  for (size_t i = 1; i < r->groups.size(); ++i) {
-    EXPECT_TRUE(r->groups[i - 1].group < r->groups[i].group);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GroupByProperty,
-                         testing::Range<uint64_t>(1, 7));
 
 // ------------------------------------------------------- join invariants
 

@@ -1,12 +1,11 @@
-// Bit-identity tests for the morsel-driven parallel data plane: group-by
-// aggregation, hash join (including the reusable JoinIndex), TakeRows, and
-// per-value KG extraction must produce byte-identical outputs at 1, 2, and
-// 8 threads, on both sides of the operators' parallel thresholds. Each is
-// checked against an independent oracle written here: a naive std::map
-// group-by, a first-occurrence join, a per-cell TakeRows check, and the
-// TripleStore walk at one thread for extraction. Same pattern as
-// parallel_test.cc; this binary is a TSan target alongside it (see
-// .github/workflows/ci.yml).
+// Bit-identity tests for the morsel-driven parallel data plane: hash join
+// (including the reusable JoinIndex), TakeRows, and per-value KG
+// extraction must produce byte-identical outputs at 1, 2, and 8 threads,
+// on both sides of the operators' parallel thresholds. Each is checked
+// against an independent oracle written here: a first-occurrence join, a
+// per-cell TakeRows check, and the TripleStore walk at one thread for
+// extraction. Same pattern as parallel_test.cc; this binary is a TSan
+// target alongside it (see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
@@ -22,10 +21,7 @@
 #include "kg/endpoint.h"
 #include "kg/extractor.h"
 #include "kg/resilient_client.h"
-#include "query/aggregate.h"
-#include "query/group_by.h"
 #include "query/join.h"
-#include "query/predicate.h"
 #include "table/table.h"
 
 namespace mesa {
@@ -44,7 +40,7 @@ constexpr size_t kRowCounts[] = {3000, 6000};
 // A seeded random table big enough to cross the parallel thresholds:
 //   k_str  string key, ~20 distinct values (nullable)
 //   k_int  int key, ~12 distinct values (nullable)
-//   x      double outcome (nullable)
+//   x      double column (nullable)
 //   payload extra double column (join payload / TakeRows coverage)
 // `null_rate` also controls the null density of the keys, so the
 // null-heavy configurations exercise the skip paths hard.
@@ -84,21 +80,6 @@ Table MakeRandomTable(uint64_t seed, size_t rows, double null_rate) {
   return *t;
 }
 
-void ExpectGroupByEqual(const GroupByResult& a, const GroupByResult& b,
-                        const std::string& what) {
-  ASSERT_EQ(a.input_rows, b.input_rows) << what;
-  ASSERT_EQ(a.groups.size(), b.groups.size()) << what;
-  for (size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_TRUE(a.groups[g].group == b.groups[g].group) << what << " g" << g;
-    EXPECT_TRUE(a.groups[g].values == b.groups[g].values) << what << " g" << g;
-    // Bitwise: the operator must preserve the row-order FP accumulation,
-    // not just be "close".
-    EXPECT_EQ(a.groups[g].aggregate, b.groups[g].aggregate)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].count, b.groups[g].count) << what << " g" << g;
-  }
-}
-
 void ExpectTablesEqual(const Table& a, const Table& b,
                        const std::string& what) {
   ASSERT_EQ(a.schema().ToString(), b.schema().ToString()) << what;
@@ -109,44 +90,6 @@ void ExpectTablesEqual(const Table& a, const Table& b,
           << what << " col " << a.schema().field(c).name << " row " << r;
     }
   }
-}
-
-// Naive group-by oracle: one std::map keyed by the value tuple, fed the
-// surviving rows in row order. Every accumulator sees the Add sequence
-// GroupByAggregate promises, so the operator must match it bit for bit.
-GroupByResult OracleGroupBy(const Table& table,
-                            const std::vector<std::string>& group_cols,
-                            const std::string& outcome_col,
-                            AggregateFunction agg,
-                            const Conjunction& context = {}) {
-  std::vector<const Column*> gcols;
-  for (const std::string& name : group_cols) {
-    gcols.push_back(*table.ColumnByName(name));
-  }
-  const Column* ocol = *table.ColumnByName(outcome_col);
-  const std::vector<uint8_t> mask = *context.EvaluateMask(table);
-  GroupByResult out;
-  std::map<std::vector<Value>, AggregateAccumulator> accs;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (!mask[r]) continue;
-    ++out.input_rows;
-    if (ocol->IsNull(r)) continue;
-    std::vector<Value> key;
-    for (const Column* c : gcols) key.push_back(c->GetValue(r));
-    bool null_key = false;
-    for (const Value& v : key) null_key = null_key || v.is_null();
-    if (null_key) continue;
-    accs.try_emplace(key, agg).first->second.Add(ocol->NumericAt(r));
-  }
-  for (const auto& [key, acc] : accs) {
-    GroupResult g;
-    g.group = key.front();
-    g.values = key;
-    g.aggregate = *acc.Finalize();
-    g.count = acc.count();
-    out.groups.push_back(std::move(g));
-  }
-  return out;
 }
 
 // Naive join oracle: right key -> first right row holding it, probed left
@@ -216,73 +159,6 @@ void ExpectJoinMatchesOracle(const Table& left, const std::string& left_key,
     EXPECT_EQ(joined.column(c).ContentFingerprint(),
               appended[c].ContentFingerprint())
         << what << " col " << c;
-  }
-}
-
-// ------------------------------------------------------------- group-by
-
-TEST(QueryParallel, GroupByBitIdenticalAcrossThreadCounts) {
-  PoolGuard guard;
-  const AggregateFunction aggs[] = {
-      AggregateFunction::kAvg, AggregateFunction::kSum,
-      AggregateFunction::kCount, AggregateFunction::kMedian,
-      AggregateFunction::kStdDev};
-  const std::vector<std::string> single = {"k_str"};
-  const std::vector<std::string> multi = {"k_str", "k_int"};
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    // Odd seeds are null-heavy (~40% null keys), even seeds mild.
-    const double null_rate = (seed % 2 == 1) ? 0.4 : 0.05;
-    const AggregateFunction agg = aggs[seed % 5];
-    for (size_t rows : kRowCounts) {
-      Table table = MakeRandomTable(seed, rows, null_rate);
-      const GroupByResult expected = OracleGroupBy(table, single, "x", agg);
-      const GroupByResult expected_multi =
-          OracleGroupBy(table, multi, "x", agg);
-      for (size_t threads : kThreadCounts) {
-        SetNumThreads(threads);
-        const std::string what = "seed " + std::to_string(seed) + " rows " +
-                                 std::to_string(rows) + " threads " +
-                                 std::to_string(threads);
-        auto got = GroupByAggregate(table, single, "x", agg);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectGroupByEqual(expected, *got, what);
-        auto got_multi = GroupByAggregate(table, multi, "x", agg);
-        ASSERT_TRUE(got_multi.ok());
-        ExpectGroupByEqual(expected_multi, *got_multi, "multi " + what);
-      }
-    }
-  }
-}
-
-TEST(QueryParallel, GroupByWithContextAndEmptyResult) {
-  PoolGuard guard;
-  // A context that matches a slice of the input.
-  Conjunction some;
-  some.Add({"k_int", CompareOp::kLe, Value::Int(5), {}});
-  // A context that matches nothing: every group is empty.
-  Conjunction none;
-  none.Add({"k_str", CompareOp::kEq, Value::String("no_such_key"), {}});
-
-  for (size_t rows : kRowCounts) {
-    Table table = MakeRandomTable(7, rows, 0.3);
-    const std::vector<std::string> key = {"k_str"};
-    const GroupByResult expected_some =
-        OracleGroupBy(table, key, "x", AggregateFunction::kAvg, some);
-    const GroupByResult expected_none =
-        OracleGroupBy(table, key, "x", AggregateFunction::kAvg, none);
-    EXPECT_EQ(expected_none.input_rows, 0u);
-    EXPECT_TRUE(expected_none.groups.empty());
-    for (size_t threads : kThreadCounts) {
-      SetNumThreads(threads);
-      auto par_some =
-          GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, some);
-      auto par_none =
-          GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, none);
-      ASSERT_TRUE(par_some.ok());
-      ASSERT_TRUE(par_none.ok());
-      ExpectGroupByEqual(expected_some, *par_some, "context slice");
-      ExpectGroupByEqual(expected_none, *par_none, "empty context");
-    }
   }
 }
 
@@ -442,54 +318,7 @@ TEST(QueryParallel, ExtractionBitIdenticalAcrossThreadCounts) {
 
 // ------------------------------------------- high-cardinality tails
 
-// Thousands of distinct groups push group-by's phase 3 past the merge
-// threshold and into the sliced parallel merge + finalize, which must
-// still match the row-order oracle bit for bit.
-TEST(QueryParallel, GroupByHighCardinalityBitIdentical) {
-  PoolGuard guard;
-  const AggregateFunction aggs[] = {AggregateFunction::kAvg,
-                                    AggregateFunction::kSum,
-                                    AggregateFunction::kStdDev,
-                                    AggregateFunction::kMedian};
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed * 31);
-    Column key(DataType::kString);
-    Column x(DataType::kDouble);
-    const size_t rows = 30000;
-    for (size_t r = 0; r < rows; ++r) {
-      if (rng.NextBernoulli(0.02)) {
-        key.AppendNull();
-      } else {
-        key.AppendString("g_" + std::to_string(rng.NextBelow(3000)));
-      }
-      if (rng.NextBernoulli(0.05)) {
-        x.AppendNull();
-      } else {
-        x.AppendDouble(rng.NextGaussian(5.0, 2.0));
-      }
-    }
-    Schema schema;
-    ASSERT_TRUE(schema.AddField({"key", DataType::kString}).ok());
-    ASSERT_TRUE(schema.AddField({"x", DataType::kDouble}).ok());
-    auto table = Table::Make(std::move(schema), {std::move(key), std::move(x)});
-    ASSERT_TRUE(table.ok());
-    const AggregateFunction agg = aggs[seed % 4];
-
-    const GroupByResult expected = OracleGroupBy(*table, {"key"}, "x", agg);
-    EXPECT_GT(expected.groups.size(), 1000u)
-        << "dataset failed to cross the parallel-merge threshold";
-    for (size_t threads : kThreadCounts) {
-      SetNumThreads(threads);
-      auto got = GroupByAggregate(*table, "key", "x", agg);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectGroupByEqual(expected, *got,
-                         "wide seed " + std::to_string(seed) + " threads " +
-                             std::to_string(threads));
-    }
-  }
-}
-
-// A single kept right-side column over a large probe: the fragment
+// A single kept right-side column over a large probe: the Column::Take
 // gather must parallelize inside the one column (the old per-column
 // split had nothing to do here) and still match the oracle cell by cell.
 TEST(QueryParallel, HashJoinLargeSingleColumnBitIdentical) {

@@ -16,6 +16,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -542,6 +543,49 @@ TEST_F(SnapshotHostileTest, RepeatedColumnDictionaryEntry) {
     }
   }
   ASSERT_TRUE(found) << "no column dictionary section";
+}
+
+TEST_F(SnapshotHostileTest, ValidNanInDoubleColumn) {
+  // A Column never holds a valid NaN, so the reader must not borrow one.
+  auto table = Table::Make(Schema({{"x", DataType::kDouble}}),
+                           {Column::FromDoubles({1.5, 2.5, 0.0}, {1, 1, 0})});
+  ASSERT_TRUE(table.ok());
+  bytes_ = MustSerialize(*table, nullptr);
+  ASSERT_TRUE(TryLoad(bytes_, /*verify=*/true).ok());
+
+  const Footer footer = ReadFooter();
+  const std::vector<SectionEntry> sections = ReadSections(footer);
+  bool found = false;
+  for (size_t i = 0; i < sections.size(); ++i) {
+    SectionEntry entry = sections[i];
+    if (entry.kind != static_cast<uint32_t>(SectionKind::kColumnPayload)) {
+      continue;
+    }
+    found = true;
+    ASSERT_EQ(entry.size, 3 * sizeof(double));
+    const double nan = std::nan("");
+    // Under the null row a NaN is a dead payload and loads; under a
+    // valid row it is rejected with a clean status, checksums on or off.
+    for (size_t row : {size_t{2}, size_t{1}}) {
+      std::string bytes = bytes_;
+      std::memcpy(bytes.data() + entry.offset + row * sizeof(double), &nan,
+                  sizeof(nan));
+      entry.crc32c = Crc32c(bytes.data() + entry.offset, entry.size);
+      PatchSection(&bytes, footer, i, entry);
+      for (bool verify : {true, false}) {
+        Status status = TryLoad(bytes, verify);
+        if (row == 2) {
+          EXPECT_TRUE(status.ok()) << status.ToString();
+          continue;
+        }
+        ASSERT_FALSE(status.ok()) << "verify " << verify;
+        EXPECT_EQ(StatusCode::kInvalidArgument, status.code());
+        EXPECT_NE(std::string::npos, status.message().find("row 1 holds a NaN"))
+            << status.ToString();
+      }
+    }
+  }
+  ASSERT_TRUE(found) << "no column payload section";
 }
 
 TEST_F(SnapshotHostileTest, GarbageFiles) {

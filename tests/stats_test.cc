@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "stats/correlation.h"
-#include "stats/descriptive.h"
 #include "stats/discretizer.h"
 #include "stats/distributions.h"
 #include "stats/logistic.h"
@@ -13,78 +11,6 @@
 
 namespace mesa {
 namespace {
-
-// ------------------------------------------------------------ descriptive
-
-TEST(Descriptive, Summarize) {
-  Summary s = Summarize({1, 2, 3, 4});
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1);
-  EXPECT_DOUBLE_EQ(s.max, 4);
-  EXPECT_DOUBLE_EQ(s.variance, 1.25);
-  EXPECT_EQ(Summarize({}).count, 0u);
-}
-
-TEST(Descriptive, MeanAndVariance) {
-  EXPECT_DOUBLE_EQ(*Mean({2, 4}), 3.0);
-  EXPECT_FALSE(Mean({}).ok());
-  EXPECT_DOUBLE_EQ(*SampleVariance({2, 4, 4, 4, 5, 5, 7, 9}), 32.0 / 7.0);
-  EXPECT_FALSE(SampleVariance({1}).ok());
-}
-
-TEST(Descriptive, Quantile) {
-  std::vector<double> v = {1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(*Quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(*Quantile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(*Quantile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(*Quantile(v, 0.25), 2.0);
-  EXPECT_FALSE(Quantile({}, 0.5).ok());
-  EXPECT_FALSE(Quantile(v, 1.5).ok());
-}
-
-TEST(Descriptive, WeightedMean) {
-  EXPECT_DOUBLE_EQ(*WeightedMean({1, 3}, {1, 1}), 2.0);
-  EXPECT_DOUBLE_EQ(*WeightedMean({1, 3}, {3, 1}), 1.5);
-  EXPECT_FALSE(WeightedMean({1}, {1, 2}).ok());
-  EXPECT_FALSE(WeightedMean({1, 2}, {0, 0}).ok());
-  EXPECT_FALSE(WeightedMean({1, 2}, {-1, 2}).ok());
-}
-
-// ----------------------------------------------------------- correlation
-
-TEST(Correlation, PearsonPerfect) {
-  std::vector<double> x = {1, 2, 3, 4};
-  std::vector<double> y = {2, 4, 6, 8};
-  EXPECT_NEAR(*PearsonCorrelation(x, y), 1.0, 1e-12);
-  std::vector<double> ny = {8, 6, 4, 2};
-  EXPECT_NEAR(*PearsonCorrelation(x, ny), -1.0, 1e-12);
-}
-
-TEST(Correlation, PearsonErrors) {
-  EXPECT_FALSE(PearsonCorrelation({1, 2}, {1}).ok());
-  EXPECT_FALSE(PearsonCorrelation({1}, {1}).ok());
-  EXPECT_FALSE(PearsonCorrelation({1, 1, 1}, {1, 2, 3}).ok());
-}
-
-TEST(Correlation, RanksWithTies) {
-  auto r = Ranks({10, 20, 20, 30});
-  EXPECT_DOUBLE_EQ(r[0], 1.0);
-  EXPECT_DOUBLE_EQ(r[1], 2.5);
-  EXPECT_DOUBLE_EQ(r[2], 2.5);
-  EXPECT_DOUBLE_EQ(r[3], 4.0);
-}
-
-TEST(Correlation, SpearmanMonotoneNonlinear) {
-  std::vector<double> x, y;
-  for (int i = 1; i <= 30; ++i) {
-    x.push_back(i);
-    y.push_back(std::exp(0.3 * i));  // monotone, very nonlinear
-  }
-  EXPECT_NEAR(*SpearmanCorrelation(x, y), 1.0, 1e-12);
-  // Pearson is noticeably below 1 on the same data.
-  EXPECT_LT(*PearsonCorrelation(x, y), 0.9);
-}
 
 // ---------------------------------------------------------- distributions
 
@@ -216,6 +142,19 @@ TEST(Discretizer, NullsStayNegative) {
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d->codes[1], -1);
   EXPECT_GE(d->codes[0], 0);
+}
+
+TEST(Discretizer, NanDoubleIsNull) {
+  // A NaN handed to the column is null, not coded like the smallest value.
+  Schema schema;
+  ASSERT_TRUE(schema.AddField({"x", DataType::kDouble}).ok());
+  auto t = Table::Make(std::move(schema),
+                       {Column::FromDoubles({1.5, std::nan(""), 2.5, 0.5})});
+  ASSERT_TRUE(t.ok());
+  auto d = DiscretizeColumn(*t, "x");
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d->codes, (std::vector<int32_t>{1, -1, 2, 0}));
+  EXPECT_EQ(d->cardinality, 3);
 }
 
 TEST(Discretizer, MissingColumnFails) {
