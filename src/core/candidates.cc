@@ -50,15 +50,21 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
     if (rows.empty()) {
       return Status::InvalidArgument("query context matches no rows");
     }
-    qa.context_table_ = table.TakeRows(rows);
-    qa.n_ = qa.context_table_.num_rows();
+    if (rows.size() == table.num_rows()) {
+      qa.context_table_ = &table;  // C matches every row: no copy
+    } else {
+      qa.owned_context_ = std::make_shared<const Table>(table.TakeRows(rows));
+      qa.context_table_ = qa.owned_context_.get();
+    }
+    qa.n_ = rows.size();
   }
+  const Table& ctx = *qa.context_table_;
 
   {
     MESA_SPAN("discretize");
     MESA_ASSIGN_OR_RETURN(
         Discretized o,
-        DiscretizeColumn(qa.context_table_, query.outcome,
+        DiscretizeColumn(ctx, query.outcome,
                          options.discretizer));
     qa.outcome_ = CodedVariable{std::move(o.codes), o.cardinality};
     // The effective exposure is the composite of all grouping attributes;
@@ -66,7 +72,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
     for (const std::string& name : query.AllExposures()) {
       MESA_ASSIGN_OR_RETURN(
           Discretized t,
-          DiscretizeColumn(qa.context_table_, name, options.discretizer));
+          DiscretizeColumn(ctx, name, options.discretizer));
       qa.exposure_components_.push_back(
           CodedVariable{std::move(t.codes), t.cardinality});
     }
@@ -93,7 +99,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
   uint64_t query_key = 0;
   auto shared_query_key = [&]() {
     std::call_once(key_once, [&] {
-      query_key = BiasMemoQueryKey(qa.context_table_, query.outcome,
+      query_key = BiasMemoQueryKey(ctx, query.outcome,
                                    query.AllExposures(), options.discretizer,
                                    options.bias, ipw);
     });
@@ -104,7 +110,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
   auto shared_design = [&]() -> const Result<IpwDesign>& {
     std::call_once(design_once, [&] {
       MESA_SPAN("ipw_design");
-      design.emplace(IpwDesign::Build(qa.context_table_, ipw.covariates));
+      design.emplace(IpwDesign::Build(ctx, ipw.covariates));
     });
     return *design;
   };
@@ -128,7 +134,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
       bias.exposure_codes = &qa.exposure_;
       MESA_ASSIGN_OR_RETURN(
           SelectionBiasReport report,
-          DetectSelectionBias(qa.context_table_, name, query.outcome,
+          DetectSelectionBias(ctx, name, query.outcome,
                               query.exposure, bias));
       verdict.biased = report.biased;
     }
@@ -167,7 +173,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
     statuses[ci] = [&]() -> Status {
       const std::string& name = names[ci];
       MESA_ASSIGN_OR_RETURN(const Column* col,
-                            qa.context_table_.ColumnByName(name));
+                            ctx.ColumnByName(name));
       PreparedAttribute attr;
       attr.name = name;
       attr.from_kg = kg_set.count(name) > 0;
@@ -176,7 +182,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
         MESA_SPAN("discretize");
         MESA_ASSIGN_OR_RETURN(
             Discretized d,
-            DiscretizeColumn(qa.context_table_, name,
+            DiscretizeColumn(ctx, name,
                              options.discretizer));
         attr.coded = CodedVariable{std::move(d.codes), d.cardinality};
       }
@@ -415,17 +421,23 @@ double QueryAnalysis::IdentificationFraction(
   MESA_COUNT("qa/ident/miss");
 
   const CodedVariable& z = CombinedCode(sorted);
-  // stratum -> (T code or -2 when impure, row count)
-  std::unordered_map<int32_t, std::pair<int32_t, size_t>> strata;
+  // Per stratum code: T of its first row (-2 once impure) and its row count.
+  const size_t strata =
+      static_cast<size_t>(std::max<int32_t>(0, z.cardinality));
+  std::vector<int32_t> stratum_t(strata, -1);
+  std::vector<size_t> stratum_rows(strata, 0);
   size_t observed = 0;
   for (size_t r = 0; r < n_; ++r) {
-    if (z.codes[r] < 0 || exposure_.codes[r] < 0) continue;
+    const int32_t zc = z.codes[r];
+    const int32_t tc = exposure_.codes[r];
+    if (zc < 0 || tc < 0) continue;
     ++observed;
-    auto [sit, inserted] = strata.emplace(
-        z.codes[r], std::make_pair(exposure_.codes[r], size_t{1}));
-    if (!inserted) {
-      if (sit->second.first != exposure_.codes[r]) sit->second.first = -2;
-      ++sit->second.second;
+    const size_t s = static_cast<size_t>(zc);
+    MESA_DCHECK(s < strata);
+    if (stratum_rows[s]++ == 0) {
+      stratum_t[s] = tc;
+    } else if (stratum_t[s] != tc) {
+      stratum_t[s] = -2;
     }
   }
   // For a low-cardinality exposure (<= 20 values: continents, airlines,
@@ -437,14 +449,13 @@ double QueryAnalysis::IdentificationFraction(
   const bool low_card_exposure = exposure_.cardinality <= 20;
   const double small_stratum = 0.05 * static_cast<double>(observed);
   size_t identified = 0;
-  for (const auto& [code, st] : strata) {
-    (void)code;
-    if (st.first < 0) continue;
+  for (size_t s = 0; s < strata; ++s) {
+    if (stratum_t[s] < 0) continue;  // empty or impure
     if (low_card_exposure &&
-        static_cast<double>(st.second) >= small_stratum) {
+        static_cast<double>(stratum_rows[s]) >= small_stratum) {
       continue;
     }
-    identified += st.second;
+    identified += stratum_rows[s];
   }
   double frac = observed == 0
                     ? 1.0

@@ -53,15 +53,28 @@ class QueryAnalysis {
   /// Prepares the analysis. `candidates` lists candidate attribute column
   /// names (the paper's A = E ∪ T \ {O, T}); `kg_columns` marks which of
   /// them came from external extraction (for reporting only).
+  ///
+  /// Lifetime: when the query context matches every row of `table`, the
+  /// analysis reads `table` itself instead of a copy, so `table` must
+  /// outlive the analysis and every copy or move of it, unmodified. A
+  /// context that restricts the rows is gathered into a table the analysis
+  /// owns. The rvalue overload is deleted so a temporary is never borrowed.
   static Result<QueryAnalysis> Prepare(
       const Table& table, const QuerySpec& query,
       const std::vector<std::string>& candidates,
       const std::vector<std::string>& kg_columns = {},
       const PrepareOptions& options = {});
+  static Result<QueryAnalysis> Prepare(
+      Table&& table, const QuerySpec& query,
+      const std::vector<std::string>& candidates,
+      const std::vector<std::string>& kg_columns = {},
+      const PrepareOptions& options = {}) = delete;
 
   /// Rows matching the query context.
   size_t num_rows() const { return n_; }
-  const Table& context_table() const { return context_table_; }
+  /// The context-filtered rows: the caller's table when the context matches
+  /// every row, otherwise the analysis's own gather of the matching rows.
+  const Table& context_table() const { return *context_table_; }
   const QuerySpec& query() const { return query_; }
   const PrepareOptions& options() const { return options_; }
 
@@ -147,7 +160,10 @@ class QueryAnalysis {
   /// empty if no member is weighted).
   std::vector<double> CombinedWeights(const std::vector<size_t>& indices) const;
 
-  Table context_table_;
+  /// Points at the caller's table or at *owned_context_. The gather lives
+  /// on the heap, so moving the analysis keeps the pointer valid.
+  const Table* context_table_ = nullptr;
+  std::shared_ptr<const Table> owned_context_;
   QuerySpec query_;
   PrepareOptions options_;
   size_t n_ = 0;

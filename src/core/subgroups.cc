@@ -1,8 +1,11 @@
 #include "core/subgroups.h"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 
+#include "common/logging.h"
+#include "common/metrics.h"
 #include "info/contingency.h"
 #include "info/mutual_information.h"
 #include "query/group_by.h"
@@ -50,6 +53,24 @@ CodedVariable GatherCodes(const CodedVariable& full,
   return out;
 }
 
+// The context rows of the columns Algorithm 2 reads (each once, in order;
+// names the table lacks are left out, so their lookups fail later exactly
+// as they would on a full gather).
+Table GatherColumns(const Table& table, const std::vector<std::string>& names,
+                    const std::vector<size_t>& rows) {
+  Schema schema;
+  std::vector<Column> columns;
+  for (const std::string& name : names) {
+    std::optional<size_t> idx = table.schema().IndexOf(name);
+    if (!idx.has_value() || schema.Contains(name)) continue;
+    MESA_CHECK(schema.AddField(table.schema().field(*idx)).ok());
+    columns.push_back(table.column(*idx).Take(rows));
+  }
+  Result<Table> out = Table::Make(std::move(schema), std::move(columns));
+  MESA_CHECK(out.ok());
+  return std::move(*out);
+}
+
 }  // namespace
 
 Result<std::vector<UnexplainedSubgroup>> FindUnexplainedSubgroups(
@@ -58,92 +79,108 @@ Result<std::vector<UnexplainedSubgroup>> FindUnexplainedSubgroups(
     const SubgroupOptions& options) {
   MESA_RETURN_IF_ERROR(query.Validate(table));
 
-  // Work over the context-filtered rows.
-  MESA_ASSIGN_OR_RETURN(std::vector<size_t> ctx_rows,
-                        query.context.MatchingRows(table));
-  Table ctx = table.TakeRows(ctx_rows);
-  const size_t n = ctx.num_rows();
-
-  // Code O, T, and the joint explanation Z once over the context table.
-  MESA_ASSIGN_OR_RETURN(Discretized o,
-                        DiscretizeColumn(ctx, query.outcome,
-                                         options.discretizer));
-  CodedVariable oc{std::move(o.codes), o.cardinality};
-  CodedVariable tc;
+  // Work over the context-filtered rows: the caller's table itself when C
+  // matches every row, else a gather of the columns read below. Code O, T,
+  // and the joint explanation Z once over them.
+  const Table* ctx = &table;
+  Table gathered;
+  CodedVariable oc, tc, z;
   {
+    MESA_SPAN("context");
+    MESA_ASSIGN_OR_RETURN(std::vector<size_t> ctx_rows,
+                          query.context.MatchingRows(table));
+    if (ctx_rows.size() != table.num_rows()) {
+      std::vector<std::string> names = query.AllExposures();
+      names.insert(names.begin(), query.outcome);
+      names.insert(names.end(), explanation.begin(), explanation.end());
+      names.insert(names.end(), options.refinement_attributes.begin(),
+                   options.refinement_attributes.end());
+      gathered = GatherColumns(table, names, ctx_rows);
+      ctx = &gathered;
+    }
+    const size_t n = ctx_rows.size();
+
+    MESA_ASSIGN_OR_RETURN(Discretized o,
+                          DiscretizeColumn(*ctx, query.outcome,
+                                           options.discretizer));
+    oc = CodedVariable{std::move(o.codes), o.cardinality};
     std::vector<CodedVariable> exposure_parts;
     for (const std::string& name : query.AllExposures()) {
       MESA_ASSIGN_OR_RETURN(
-          Discretized t, DiscretizeColumn(ctx, name, options.discretizer));
+          Discretized t, DiscretizeColumn(*ctx, name, options.discretizer));
       exposure_parts.push_back(CodedVariable{std::move(t.codes),
                                              t.cardinality});
     }
     std::vector<const CodedVariable*> ptrs;
     for (const auto& p : exposure_parts) ptrs.push_back(&p);
     tc = CombineAll(ptrs, n);
-  }
 
-  std::vector<CodedVariable> explanation_codes;
-  std::vector<const CodedVariable*> parts;
-  explanation_codes.reserve(explanation.size());
-  for (const std::string& name : explanation) {
-    MESA_ASSIGN_OR_RETURN(Discretized d,
-                          DiscretizeColumn(ctx, name, options.discretizer));
-    explanation_codes.push_back(CodedVariable{std::move(d.codes),
-                                              d.cardinality});
+    std::vector<CodedVariable> explanation_codes;
+    explanation_codes.reserve(explanation.size());
+    for (const std::string& name : explanation) {
+      MESA_ASSIGN_OR_RETURN(Discretized d,
+                            DiscretizeColumn(*ctx, name, options.discretizer));
+      explanation_codes.push_back(CodedVariable{std::move(d.codes),
+                                                d.cardinality});
+    }
+    ptrs.clear();
+    for (const auto& c : explanation_codes) ptrs.push_back(&c);
+    z = CombineAll(ptrs, n);
   }
-  for (const auto& c : explanation_codes) parts.push_back(&c);
-  CodedVariable z = CombineAll(parts, n);
+  const size_t n = ctx->num_rows();
 
-  // Build refinement atoms from the allowed attributes.
+  // Build refinement atoms from the allowed attributes: one pass buckets
+  // the rows of every value, in row order.
   std::vector<Atom> atoms;
-  size_t attr_idx = 0;
-  for (const std::string& name : options.refinement_attributes) {
-    if (name == query.outcome || query.IsExposure(name)) {
-      ++attr_idx;
-      continue;
-    }
-    std::vector<Value> values;
-    MESA_ASSIGN_OR_RETURN(std::vector<int32_t> codes,
-                          EncodeGroups(ctx, name, &values));
-    if (values.size() > options.max_values_per_attribute || values.size() < 2) {
-      ++attr_idx;
-      continue;
-    }
-    for (size_t v = 0; v < values.size(); ++v) {
-      Atom atom;
-      atom.attribute = attr_idx;
-      atom.condition = {name, CompareOp::kEq, values[v], {}};
-      for (size_t r = 0; r < n; ++r) {
-        if (codes[r] == static_cast<int32_t>(v)) {
-          atom.rows.push_back(static_cast<uint32_t>(r));
-        }
+  {
+    MESA_SPAN("atoms");
+    size_t attr_idx = 0;
+    for (const std::string& name : options.refinement_attributes) {
+      if (name == query.outcome || query.IsExposure(name)) {
+        ++attr_idx;
+        continue;
       }
-      if (atom.rows.size() >= options.min_group_size) {
+      std::vector<Value> values;
+      MESA_ASSIGN_OR_RETURN(std::vector<int32_t> codes,
+                            EncodeGroups(*ctx, name, &values));
+      if (values.size() > options.max_values_per_attribute ||
+          values.size() < 2) {
+        ++attr_idx;
+        continue;
+      }
+      std::vector<std::vector<uint32_t>> rows(values.size());
+      for (size_t r = 0; r < n; ++r) {
+        if (codes[r] < 0) continue;
+        rows[static_cast<size_t>(codes[r])].push_back(
+            static_cast<uint32_t>(r));
+      }
+      for (size_t v = 0; v < values.size(); ++v) {
+        if (rows[v].size() < options.min_group_size) continue;
+        Atom atom;
+        atom.attribute = attr_idx;
+        atom.condition = {name, CompareOp::kEq, values[v], {}};
+        atom.rows = std::move(rows[v]);
         atoms.push_back(std::move(atom));
       }
+      ++attr_idx;
     }
-    ++attr_idx;
   }
 
+  MESA_SPAN("search");
   // Raw outcome values for per-subgroup re-discretisation: global outcome
   // bins have no resolution inside a tight subgroup (all European salaries
   // share the top global bin), which would under-score exactly the groups
   // Algorithm 2 exists to find.
-  MESA_ASSIGN_OR_RETURN(const Column* ocol, ctx.ColumnByName(query.outcome));
+  MESA_ASSIGN_OR_RETURN(const Column* ocol, ctx->ColumnByName(query.outcome));
   const bool numeric_outcome = ocol->type() != DataType::kString;
 
   auto score_of = [&](const std::vector<uint32_t>& rows) {
     CodedVariable os;
     if (numeric_outcome) {
       std::vector<double> values;
-      std::vector<uint32_t> present;
       values.reserve(rows.size());
       for (uint32_t r : rows) {
-        if (ocol->IsValid(r)) {
-          values.push_back(ocol->NumericAt(r));
-          present.push_back(r);
-        }
+        if (ocol->IsValid(r)) values.push_back(ocol->NumericAt(r));
       }
       Discretized d = DiscretizeVector(values, options.discretizer);
       os.cardinality = d.cardinality;

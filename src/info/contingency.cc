@@ -26,8 +26,18 @@ CodedVariable ConstantCode(size_t n) {
   return constant;
 }
 
-CodedVariable CombinePair(const CodedVariable& a, const CodedVariable& b) {
-  MESA_CHECK(a.codes.size() == b.codes.size());
+namespace {
+
+// CombinePair numbers (a, b) pairs through a dense first-seen table of
+// a.cardinality * b.cardinality slots when that product is at most
+// kDensePairSlotsPerRow * n + kDensePairSlotsBase; above it a hash map keeps
+// the memory proportional to the pairs actually seen. Both number pairs in
+// order of first appearance, so their codes are identical.
+constexpr uint64_t kDensePairSlotsPerRow = 4;
+constexpr uint64_t kDensePairSlotsBase = 4096;
+
+CodedVariable CombinePairHashed(const CodedVariable& a,
+                                const CodedVariable& b) {
   CodedVariable out;
   out.codes.resize(a.codes.size());
   std::unordered_map<uint64_t, int32_t> dict;
@@ -46,6 +56,43 @@ CodedVariable CombinePair(const CodedVariable& a, const CodedVariable& b) {
     out.codes[i] = it->second;
   }
   out.cardinality = static_cast<int32_t>(dict.size());
+  return out;
+}
+
+}  // namespace
+
+CodedVariable CombinePair(const CodedVariable& a, const CodedVariable& b) {
+  MESA_CHECK(a.codes.size() == b.codes.size());
+  const size_t n = a.codes.size();
+  const uint64_t ka =
+      static_cast<uint64_t>(std::max<int32_t>(0, a.cardinality));
+  const uint64_t kb =
+      static_cast<uint64_t>(std::max<int32_t>(0, b.cardinality));
+  if (ka * kb > kDensePairSlotsPerRow * n + kDensePairSlotsBase) {
+    return CombinePairHashed(a, b);
+  }
+  CodedVariable out;
+  out.codes.resize(n);
+  std::vector<int32_t> slot(ka * kb, -1);
+  int32_t next = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t ca = a.codes[i];
+    const int32_t cb = b.codes[i];
+    if (ca < 0 || cb < 0) {
+      out.codes[i] = -1;
+      continue;
+    }
+    // A code at or past its declared cardinality breaks the CodedVariable
+    // contract; the hash path numbers such pairs all the same.
+    if (static_cast<uint64_t>(ca) >= ka || static_cast<uint64_t>(cb) >= kb) {
+      return CombinePairHashed(a, b);
+    }
+    int32_t& s = slot[static_cast<uint64_t>(ca) * kb +
+                      static_cast<uint64_t>(cb)];
+    if (s < 0) s = next++;
+    out.codes[i] = s;
+  }
+  out.cardinality = next;
   return out;
 }
 

@@ -1,6 +1,8 @@
 #include "query/join.h"
 
 #include <algorithm>
+#include <array>
+#include <unordered_map>
 #include <utility>
 
 #include "common/cancel.h"
@@ -24,19 +26,43 @@ constexpr size_t kJoinParallelThreshold = 4096;
 size_t KeyPartition(const Value& v) {
   return MixSeed(0x9E3779B97F4A7C15ULL,
                  static_cast<uint64_t>(ValueHash{}(v))) &
-         63;  // JoinIndex::kPartitions - 1
+         63;  // KeyIndex::kPartitions - 1
 }
+
+// The build side of a join: right key -> first row holding it. The index
+// is radix-partitioned on the key hash so construction can proceed
+// partition-parallel; the partition of a key is a pure function of its
+// value, so the finished structure — and which duplicate row wins — is
+// identical at any thread count.
+class KeyIndex {
+ public:
+  // Builds the index over `right[right_key]`. Null keys are skipped. If a
+  // key occurs on multiple rows the first occurrence wins and a warning is
+  // logged (see HashJoin in join.h for why duplicates are collapsed).
+  static Result<KeyIndex> Build(const Table& right,
+                                 const std::string& right_key);
+
+  // Row of the right side holding `key`, or -1 if absent. Null never
+  // matches.
+  int64_t Find(const Value& key) const;
+
+ private:
+  static constexpr size_t kPartitions = 64;  // power of two
+
+  KeyIndex() = default;
+
+  size_t duplicate_keys_ = 0;
+  std::array<std::unordered_map<Value, size_t, ValueHash>, kPartitions> parts_;
+};
 
 }  // namespace
 
-Result<JoinIndex> JoinIndex::Build(const Table& right,
+Result<KeyIndex> KeyIndex::Build(const Table& right,
                                    const std::string& right_key) {
   static_assert(kPartitions == 64, "KeyPartition masks with 63");
   MESA_ASSIGN_OR_RETURN(const Column* rkey, right.ColumnByName(right_key));
 
-  JoinIndex index;
-  index.right_ = &right;
-  index.right_key_ = right_key;
+  KeyIndex index;
 
   const size_t n = right.num_rows();
   if (n < kJoinParallelThreshold) {
@@ -94,7 +120,7 @@ Result<JoinIndex> JoinIndex::Build(const Table& right,
   return index;
 }
 
-int64_t JoinIndex::Find(const Value& key) const {
+int64_t KeyIndex::Find(const Value& key) const {
   const auto& part = parts_[KeyPartition(key)];
   auto it = part.find(key);
   return it == part.end() ? -1 : static_cast<int64_t>(it->second);
@@ -103,15 +129,9 @@ int64_t JoinIndex::Find(const Value& key) const {
 Result<Table> HashJoin(const Table& left, const std::string& left_key,
                        const Table& right, const std::string& right_key,
                        const JoinOptions& options) {
-  MESA_ASSIGN_OR_RETURN(JoinIndex index, JoinIndex::Build(right, right_key));
-  return HashJoin(left, left_key, index, options);
-}
-
-Result<Table> HashJoin(const Table& left, const std::string& left_key,
-                       const JoinIndex& index, const JoinOptions& options) {
+  MESA_ASSIGN_OR_RETURN(KeyIndex index, KeyIndex::Build(right, right_key));
   MESA_SPAN("query/join");
   MESA_COUNT("query/hash_joins");
-  const Table& right = index.right();
   MESA_ASSIGN_OR_RETURN(const Column* lkey, left.ColumnByName(left_key));
 
   // Probe: per-morsel match buffers, concatenated in morsel index order —
@@ -166,7 +186,7 @@ Result<Table> HashJoin(const Table& left, const std::string& left_key,
   std::vector<std::pair<size_t, std::string>> kept;  // right col idx, name
   for (size_t c = 0; c < right.num_columns(); ++c) {
     const Field& f = right.schema().field(c);
-    if (f.name == index.right_key()) continue;
+    if (f.name == right_key) continue;
     std::string name = f.name;
     if (out.schema().Contains(name)) name = options.collision_prefix + name;
     if (out.schema().Contains(name)) {

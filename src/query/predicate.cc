@@ -59,14 +59,9 @@ Result<int> CompareValues(const Value& a, const Value& b) {
                                  DataTypeName(b.type()));
 }
 
-// Evaluates one condition against one row (false on null cell). Fails if
-// the column is missing or the comparison is type-incompatible.
-Result<bool> EvalCondition(const Condition& cond, const Table& table,
-                           size_t row) {
-  MESA_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(cond.column));
-  if (row >= col->size()) return Status::OutOfRange("row out of range");
-  if (col->IsNull(row)) return false;
-  Value cell = col->GetValue(row);
+// Evaluates one condition against one non-null cell. Fails if the
+// comparison is type-incompatible.
+Result<bool> EvalCell(const Condition& cond, const Value& cell) {
   if (cond.op == CompareOp::kIn) {
     for (const auto& v : cond.in_values) {
       if (cell == v) return true;
@@ -91,6 +86,54 @@ Result<bool> EvalCondition(const Condition& cond, const Table& table,
       break;
   }
   return Status::Internal("bad op");
+}
+
+// Clears mask[r] for every live row that fails `cond` (a null cell never
+// satisfies it). A type error surfaces only when a live non-null row is
+// compared, as it would in a row-by-row evaluation.
+Status ApplyCondition(const Condition& cond, const Column& col,
+                      std::vector<uint8_t>* mask) {
+  const size_t n = mask->size();
+  uint8_t* m = mask->data();
+  if (col.type() == DataType::kString) {
+    // Every cell is a dictionary entry: evaluate each entry once, then
+    // scan the codes. All entries are strings, so a failing entry fails
+    // with the same status any other would.
+    const std::vector<std::string>& dict = col.dictionary();
+    std::vector<int8_t> verdict(dict.size());  // 1 true, 0 false, -1 error
+    Status error;
+    for (size_t c = 0; c < dict.size(); ++c) {
+      Result<bool> ok = EvalCell(cond, Value::String(dict[c]));
+      if (!ok.ok()) {
+        verdict[c] = -1;
+        if (error.ok()) error = ok.status();
+      } else {
+        verdict[c] = *ok ? 1 : 0;
+      }
+    }
+    const uint32_t* codes = col.code_data();
+    for (size_t r = 0; r < n; ++r) {
+      if (!m[r]) continue;
+      if (col.IsNull(r)) {
+        m[r] = 0;
+        continue;
+      }
+      const int8_t v = verdict[codes[r]];
+      if (v < 0) return error;
+      if (v == 0) m[r] = 0;
+    }
+    return Status::OK();
+  }
+  for (size_t r = 0; r < n; ++r) {
+    if (!m[r]) continue;
+    if (col.IsNull(r)) {
+      m[r] = 0;
+      continue;
+    }
+    MESA_ASSIGN_OR_RETURN(bool ok, EvalCell(cond, col.GetValue(r)));
+    if (!ok) m[r] = 0;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -123,26 +166,12 @@ bool Conjunction::Contains(const Conjunction& other) const {
   return true;
 }
 
-Result<bool> Conjunction::Matches(const Table& table, size_t row) const {
-  for (const auto& cond : conditions_) {
-    MESA_ASSIGN_OR_RETURN(bool ok, EvalCondition(cond, table, row));
-    if (!ok) return false;
-  }
-  return true;
-}
-
 Result<std::vector<uint8_t>> Conjunction::EvaluateMask(
     const Table& table) const {
   std::vector<uint8_t> mask(table.num_rows(), 1);
   for (const auto& cond : conditions_) {
-    // Validate the column once per condition, then scan.
     MESA_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(cond.column));
-    (void)col;
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (!mask[r]) continue;
-      MESA_ASSIGN_OR_RETURN(bool ok, EvalCondition(cond, table, r));
-      if (!ok) mask[r] = 0;
-    }
+    MESA_RETURN_IF_ERROR(ApplyCondition(cond, *col, &mask));
   }
   return mask;
 }

@@ -56,10 +56,9 @@ class Conjunction {
   /// this is `other` or a refinement of it).
   bool Contains(const Conjunction& other) const;
 
-  /// Evaluates one row.
-  Result<bool> Matches(const Table& table, size_t row) const;
-
-  /// Evaluates all rows into a 0/1 mask.
+  /// Evaluates all rows into a 0/1 mask. Each condition looks its column
+  /// up once; a string column's condition is evaluated once per dictionary
+  /// entry, not once per row.
   Result<std::vector<uint8_t>> EvaluateMask(const Table& table) const;
 
   /// Indices of matching rows.

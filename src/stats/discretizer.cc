@@ -70,16 +70,67 @@ Discretized CodeCategorical(const std::vector<Value>& cells) {
   return out;
 }
 
+// Low-cardinality numeric coding, shared by columns and raw vectors.
+// `sorted` holds the valid `values` (nulls where `valid` is 0; empty = all
+// valid) in ascending order. Fills `distinct` with its distinct values and
+// returns true when there are at most `limit`; stops and returns false past
+// `limit`. Sorting leaves -0.0 and 0.0 in no particular order, so the zero
+// kept is the first valid one in row order, the one a std::set filled in
+// row order keeps: its label prints the same sign.
+bool SortedDistinctAtMost(const std::vector<double>& values,
+                          const std::vector<uint8_t>& valid,
+                          const std::vector<double>& sorted, size_t limit,
+                          std::vector<double>* distinct) {
+  distinct->clear();
+  for (double v : sorted) {
+    if (!distinct->empty() && distinct->back() == v) continue;
+    if (distinct->size() == limit) return false;
+    distinct->push_back(v);
+  }
+  for (double& d : *distinct) {
+    if (d != 0.0) continue;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if ((valid.empty() || valid[i]) && values[i] == 0.0) {
+        d = values[i];
+        break;
+      }
+    }
+    break;
+  }
+  return true;
+}
+
+// One code per distinct value in ascending order, found by binary search;
+// labels print each value with "%.6g". Nulls where `valid` is 0 (empty =
+// all valid).
+Discretized CodeDistinct(const std::vector<double>& distinct,
+                         const std::vector<double>& values,
+                         const std::vector<uint8_t>& valid) {
+  Discretized out;
+  out.cardinality = static_cast<int32_t>(distinct.size());
+  for (double v : distinct) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    out.labels.push_back(buf);
+  }
+  out.codes.assign(values.size(), -1);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (!valid.empty() && !valid[i]) continue;
+    auto it = std::lower_bound(distinct.begin(), distinct.end(), values[i]);
+    out.codes[i] = static_cast<int32_t>(it - distinct.begin());
+  }
+  return out;
+}
+
+// Bins `values` (nulls where `valid` is 0; empty = all valid). `sorted`
+// holds the valid values in ascending order (std::sort of them in row
+// order).
 Discretized BinNumeric(const std::vector<double>& values,
                        const std::vector<uint8_t>& valid,
+                       const std::vector<double>& sorted,
                        const DiscretizerOptions& options) {
   Discretized out;
-  std::vector<double> present;
-  present.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (valid.empty() || valid[i]) present.push_back(values[i]);
-  }
-  if (present.empty()) {
+  if (sorted.empty()) {
     out.codes.assign(values.size(), -1);
     out.cardinality = 0;
     return out;
@@ -90,8 +141,17 @@ Discretized BinNumeric(const std::vector<double>& values,
   std::vector<double> edges;
   size_t k = std::max<size_t>(1, options.num_bins);
   if (options.strategy == BinningStrategy::kEqualWidth) {
-    auto [mn_it, mx_it] = std::minmax_element(present.begin(), present.end());
-    double mn = *mn_it, mx = *mx_it;
+    // The first minimum and the last maximum in row order, as
+    // std::minmax_element picks them (the sign of a zero shows in labels).
+    double mn = 0.0, mx = 0.0;
+    bool first = true;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (!valid.empty() && !valid[i]) continue;
+      const double v = values[i];
+      if (first || v < mn) mn = v;
+      if (first || !(v < mx)) mx = v;
+      first = false;
+    }
     if (mn == mx) {
       k = 1;
     } else {
@@ -105,19 +165,18 @@ Discretized BinNumeric(const std::vector<double>& values,
       lo = hi;
     }
   } else {
-    std::sort(present.begin(), present.end());
     std::set<double> cuts;
     for (size_t i = 1; i < k; ++i) {
-      size_t idx = i * present.size() / k;
-      cuts.insert(present[idx]);
+      size_t idx = i * sorted.size() / k;
+      cuts.insert(sorted[idx]);
     }
     // Drop cut points equal to the minimum (they would create empty bins).
-    cuts.erase(present.front());
+    cuts.erase(sorted.front());
     edges.assign(cuts.begin(), cuts.end());
     k = edges.size() + 1;
-    double lo = present.front();
+    double lo = sorted.front();
     for (size_t i = 0; i < k; ++i) {
-      double hi = i < edges.size() ? edges[i] : present.back();
+      double hi = i < edges.size() ? edges[i] : sorted.back();
       out.labels.push_back(FormatRange(lo, hi));
       lo = hi;
     }
@@ -169,44 +228,26 @@ Result<Discretized> DiscretizeColumnUncached(const Column* col,
     return CodeCategorical(cells);
   }
 
-  // Numeric: check cardinality first.
-  std::set<double> distinct;
-  for (size_t r = 0; r < n && distinct.size() <= options.categorical_threshold;
-       ++r) {
-    if (col->IsValid(r)) distinct.insert(col->NumericAt(r));
-  }
-  if (distinct.size() <= options.categorical_threshold) {
-    // Low-cardinality numeric: direct double coding.
-    std::map<double, int32_t> codes;
-    for (size_t r = 0; r < n; ++r) {
-      if (col->IsValid(r)) codes.emplace(col->NumericAt(r), 0);
-    }
-    Discretized out;
-    int32_t next = 0;
-    for (auto& [v, code] : codes) {
-      code = next++;
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.6g", v);
-      out.labels.push_back(buf);
-    }
-    out.cardinality = next;
-    out.codes.resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      out.codes[r] =
-          col->IsValid(r) ? codes.find(col->NumericAt(r))->second : -1;
-    }
-    return out;
-  }
-
+  // Numeric: the valid values in row order, sorted once for both the
+  // low-cardinality test and the bins.
   std::vector<double> values(n, 0.0);
   std::vector<uint8_t> valid(n, 0);
+  std::vector<double> sorted;
+  sorted.reserve(n - col->null_count());
   for (size_t r = 0; r < n; ++r) {
     if (col->IsValid(r)) {
       values[r] = col->NumericAt(r);
       valid[r] = 1;
+      sorted.push_back(values[r]);
     }
   }
-  return BinNumeric(values, valid, options);
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> distinct;
+  if (SortedDistinctAtMost(values, valid, sorted,
+                           options.categorical_threshold, &distinct)) {
+    return CodeDistinct(distinct, values, valid);
+  }
+  return BinNumeric(values, valid, sorted, options);
 }
 
 }  // namespace
@@ -246,25 +287,14 @@ void ClearDiscretizerCache() { DiscretizerCache()->Clear(); }
 
 Discretized DiscretizeVector(const std::vector<double>& values,
                              const DiscretizerOptions& options) {
-  std::set<double> distinct(values.begin(), values.end());
-  if (distinct.size() <= options.categorical_threshold) {
-    std::map<double, int32_t> codes;
-    for (double v : distinct) {
-      codes.emplace(v, static_cast<int32_t>(codes.size()));
-    }
-    Discretized out;
-    out.cardinality = static_cast<int32_t>(codes.size());
-    for (const auto& [v, c] : codes) {
-      (void)c;
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.6g", v);
-      out.labels.push_back(buf);
-    }
-    out.codes.reserve(values.size());
-    for (double v : values) out.codes.push_back(codes.at(v));
-    return out;
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> distinct;
+  if (SortedDistinctAtMost(values, {}, sorted, options.categorical_threshold,
+                           &distinct)) {
+    return CodeDistinct(distinct, values, {});
   }
-  return BinNumeric(values, {}, options);
+  return BinNumeric(values, {}, sorted, options);
 }
 
 }  // namespace mesa

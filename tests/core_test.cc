@@ -105,6 +105,40 @@ TEST(QueryAnalysis, ContextFiltersRows) {
   EXPECT_EQ(qa->exposure().cardinality, 3);
 }
 
+TEST(QueryAnalysis, NoContextBorrowsInputTableAcrossMoves) {
+  World w = MakeWorld(3000);
+  auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
+  auto fresh = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
+  ASSERT_TRUE(qa.ok());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(&qa->context_table(), &w.table);
+  const size_t u = static_cast<size_t>(qa->FindAttribute("conf_u"));
+  const size_t v = static_cast<size_t>(qa->FindAttribute("conf_v"));
+
+  QueryAnalysis moved = std::move(*qa);
+  EXPECT_EQ(&moved.context_table(), &w.table);
+  const Column* col = *moved.context_table().ColumnByName("conf_u");
+  EXPECT_EQ(col->ContentFingerprint(),
+            (*w.table.ColumnByName("conf_u"))->ContentFingerprint());
+  EXPECT_EQ(moved.CmiGivenSet({u, v}), fresh->CmiGivenSet({u, v}));
+  EXPECT_EQ(moved.IdentificationFraction({u, v}),
+            fresh->IdentificationFraction({u, v}));
+
+  // A restricting context is gathered into the analysis's own table, which
+  // stays put (and readable) when the analysis moves.
+  QuerySpec restricted = w.query;
+  restricted.context.Add({"group", CompareOp::kIn, Value::Null(),
+                          {Value::String("g0"), Value::String("g1")}});
+  auto sub = QueryAnalysis::Prepare(w.table, restricted, AllCandidates());
+  ASSERT_TRUE(sub.ok());
+  const Table* owned = &sub->context_table();
+  EXPECT_NE(owned, &w.table);
+  QueryAnalysis sub_moved = std::move(*sub);
+  EXPECT_EQ(&sub_moved.context_table(), owned);
+  EXPECT_EQ(sub_moved.context_table().num_rows(), sub_moved.num_rows());
+  EXPECT_TRUE(sub_moved.context_table().ColumnByName("conf_u").ok());
+}
+
 TEST(QueryAnalysis, EmptyContextMatchIsError) {
   World w = MakeWorld();
   w.query.context.Add(

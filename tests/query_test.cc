@@ -23,10 +23,12 @@ Table People() {
 
 // ------------------------------------------------------------- Condition
 
-// One condition against one row, through the public single-row entry point.
+// One condition against one row: the row's entry of the condition's mask.
 Result<bool> EvalCondition(const Condition& cond, const Table& table,
                            size_t row) {
-  return Conjunction({cond}).Matches(table, row);
+  MESA_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
+                        Conjunction({cond}).EvaluateMask(table));
+  return mask.at(row) != 0;
 }
 
 TEST(Condition, EqOnString) {
