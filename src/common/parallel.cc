@@ -55,8 +55,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-bool ThreadPool::InWorker() { return t_in_worker; }
-
 void ThreadPool::WorkerLoop() {
   t_in_worker = true;
   for (;;) {
@@ -167,21 +165,6 @@ void SetNumThreads(size_t num_threads) {
 }
 
 size_t NumThreads() { return GlobalThreadPool()->num_threads(); }
-
-void ParallelForChunks(size_t begin, size_t end,
-                       const std::function<void(size_t, size_t)>& body) {
-  if (end <= begin) return;
-  const size_t range = end - begin;
-  auto pool = GlobalThreadPool();
-  const size_t chunks = std::min(range, pool->num_threads());
-  const size_t base = range / chunks;
-  const size_t extra = range % chunks;  // first `extra` chunks get +1
-  pool->Run(chunks, [&](size_t c) {
-    const size_t lo = begin + c * base + std::min(c, extra);
-    const size_t hi = lo + base + (c < extra ? 1 : 0);
-    body(lo, hi);
-  });
-}
 
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& body) {

@@ -52,9 +52,6 @@ class ThreadPool {
   /// The first exception (lowest task index) is rethrown in the caller.
   void Run(size_t num_tasks, const std::function<void(size_t)>& task);
 
-  /// True when the current thread is one of this process's pool workers.
-  static bool InWorker();
-
  private:
   void WorkerLoop();
 
@@ -85,14 +82,6 @@ size_t NumThreads();
 /// cross-index accumulation belongs in ParallelMapReduce instead.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& body);
-
-/// Parallel loop over contiguous chunks: body(lo, hi) with
-/// begin <= lo < hi <= end, one chunk per lane (a static split, so chunk
-/// boundaries vary with the thread count). Lets the body hoist per-chunk
-/// scratch buffers, provided each index's result stays independent of the
-/// chunking.
-void ParallelForChunks(size_t begin, size_t end,
-                       const std::function<void(size_t, size_t)>& body);
 
 /// Deterministic map-reduce: reduce(init, map(begin), map(begin+1), ...)
 /// with partials formed per chunk and combined in chunk order. Chunk

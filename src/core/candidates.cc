@@ -197,7 +197,6 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
     MESA_RETURN_IF_ERROR(st);
   }
   for (PreparedAttribute& attr : prepared) {
-    qa.attribute_index_.emplace(attr.name, qa.attributes_.size());
     qa.attributes_.push_back(std::move(attr));
   }
 
@@ -211,12 +210,6 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
                            std::numeric_limits<double>::quiet_NaN());
   qa.trap_cache_.assign(qa.attributes_.size(), -1);
   return qa;
-}
-
-int QueryAnalysis::FindAttribute(const std::string& name) const {
-  auto it = attribute_index_.find(name);
-  if (it == attribute_index_.end()) return -1;
-  return static_cast<int>(it->second);
 }
 
 double QueryAnalysis::CmiGivenAttribute(size_t index) const {

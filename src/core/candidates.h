@@ -84,8 +84,6 @@ class QueryAnalysis {
   const std::vector<PreparedAttribute>& attributes() const {
     return attributes_;
   }
-  /// Index of a candidate by name, or -1.
-  int FindAttribute(const std::string& name) const;
 
   /// I(O; T | C) — the unconditioned association to be explained.
   double BaseCmi() const { return base_cmi_; }
@@ -171,7 +169,6 @@ class QueryAnalysis {
   CodedVariable exposure_;
   std::vector<CodedVariable> exposure_components_;
   std::vector<PreparedAttribute> attributes_;
-  std::unordered_map<std::string, size_t> attribute_index_;
   double base_cmi_ = 0.0;
 
   /// Guards every cache below. The scoring loops of MCIMR and the

@@ -44,19 +44,7 @@ Mesa::Mesa(Table base_table, const TripleStore* kg,
       kg_(kg),
       extraction_columns_(std::move(extraction_columns)),
       options_(std::move(options)) {
-  if (kg != nullptr) WireEndpoint(std::make_shared<LocalEndpoint>(kg));
-}
-
-Mesa::Mesa(Table base_table, std::shared_ptr<KgEndpoint> endpoint,
-           std::vector<std::string> extraction_columns, MesaOptions options)
-    : base_table_(std::move(base_table)),
-      kg_(endpoint == nullptr ? nullptr : endpoint->local_store()),
-      extraction_columns_(std::move(extraction_columns)),
-      options_(std::move(options)) {
-  if (endpoint != nullptr) WireEndpoint(std::move(endpoint));
-}
-
-void Mesa::WireEndpoint(std::shared_ptr<KgEndpoint> endpoint) {
+  if (kg == nullptr) return;
   // Fault layer: an explicit plan wins over MESA_FAULT_PLAN. A malformed
   // plan is remembered and surfaced from Preprocess — silently ignoring
   // it would fake a reliable endpoint.
@@ -67,12 +55,13 @@ void Mesa::WireEndpoint(std::shared_ptr<KgEndpoint> endpoint) {
     setup_status_ = plan.status();
     return;
   }
-  endpoint_ = plan->has_faults()
-                  ? std::make_shared<FaultInjectingEndpoint>(
-                        std::move(endpoint), std::move(*plan))
-                  : std::move(endpoint);
-  kg_client_ =
-      std::make_unique<ResilientKgClient>(endpoint_, options_.kg_client);
+  std::shared_ptr<KgEndpoint> endpoint = std::make_shared<LocalEndpoint>(kg);
+  if (plan->has_faults()) {
+    endpoint = std::make_shared<FaultInjectingEndpoint>(std::move(endpoint),
+                                                        std::move(*plan));
+  }
+  kg_client_ = std::make_unique<ResilientKgClient>(std::move(endpoint),
+                                                   options_.kg_client);
 }
 
 Status Mesa::Preprocess() {

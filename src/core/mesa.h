@@ -79,15 +79,10 @@ class Mesa {
   /// `kg` may be null (explanations then come from the input table only —
   /// the HypDB regime). `extraction_columns` are the entity-bearing columns
   /// mined from the KG (Table 1's "Columns used for extraction"). The
-  /// store is wrapped in a LocalEndpoint (plus a FaultInjectingEndpoint
-  /// when a fault plan is configured) and consumed through a
-  /// ResilientKgClient.
+  /// store is wrapped in a LocalEndpoint, behind a FaultInjectingEndpoint
+  /// when a fault plan is configured, and every extraction goes through a
+  /// ResilientKgClient over that endpoint.
   Mesa(Table base_table, const TripleStore* kg,
-       std::vector<std::string> extraction_columns, MesaOptions options = {});
-
-  /// Serves explanations against an arbitrary KG endpoint — remote,
-  /// fault-injected, or otherwise. `endpoint` may be null.
-  Mesa(Table base_table, std::shared_ptr<KgEndpoint> endpoint,
        std::vector<std::string> extraction_columns, MesaOptions options = {});
 
   /// Runs extraction + offline pruning now (otherwise they run lazily on
@@ -145,28 +140,19 @@ class Mesa {
   /// Extraction bookkeeping (valid after preprocessing).
   const ExtractionStats& extraction_stats() const { return extraction_stats_; }
 
-  /// The resilient KG client this instance extracts through (null when no
-  /// KG endpoint is attached). Exposes retry/breaker/cache counters.
-  ResilientKgClient* kg_client() { return kg_client_.get(); }
-
   /// Offline pruning decisions (valid after preprocessing).
   const PruneResult& offline_prune_result() const { return offline_result_; }
 
   const MesaOptions& options() const { return options_; }
 
  private:
-  /// Builds the endpoint stack (fault layer if configured) + client.
-  /// Records a setup error in `setup_status_` instead of throwing.
-  void WireEndpoint(std::shared_ptr<KgEndpoint> endpoint);
-
   /// The body of Preprocess, run under preprocess_mu_.
   Status PreprocessLocked();
 
   Table base_table_;
-  const TripleStore* kg_;  ///< local store behind the endpoint, if any.
+  const TripleStore* kg_;  ///< the store behind the endpoint, if any.
   std::vector<std::string> extraction_columns_;
   MesaOptions options_;
-  std::shared_ptr<KgEndpoint> endpoint_;
   std::unique_ptr<ResilientKgClient> kg_client_;
   Status setup_status_;  ///< surfaced on first use (bad fault plan, ...).
 

@@ -21,11 +21,6 @@ double Entropy(const CodedVariable& x,
                const std::vector<double>* weights = nullptr,
                const EntropyOptions& options = {});
 
-/// Joint entropy H(X, Y).
-double JointEntropy(const CodedVariable& x, const CodedVariable& y,
-                    const std::vector<double>* weights = nullptr,
-                    const EntropyOptions& options = {});
-
 /// Conditional entropy H(X | Y) = H(X,Y) - H(Y).
 double ConditionalEntropy(const CodedVariable& x, const CodedVariable& y,
                           const std::vector<double>* weights = nullptr,

@@ -220,19 +220,4 @@ double ConditionalMutualInformation(const CodedVariable& x,
       });
 }
 
-double InteractionInformation(const CodedVariable& x, const CodedVariable& y,
-                              const CodedVariable& z,
-                              const std::vector<double>* weights,
-                              const EntropyOptions& options) {
-  // Evaluate both terms over the common support of all three variables so
-  // the difference is meaningful under missing data.
-  CodedVariable xyz = CombinePair(CombinePair(x, z), y);
-  CodedVariable xm = MaskTo(x, xyz);
-  CodedVariable ym = MaskTo(y, xyz);
-  CodedVariable zm = MaskTo(z, xyz);
-  double mi = MutualInformation(xm, ym, weights, options);
-  double cmi = ConditionalMutualInformation(xm, ym, zm, weights, options);
-  return mi - cmi;
-}
-
 }  // namespace mesa

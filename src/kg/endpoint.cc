@@ -32,11 +32,4 @@ Result<std::vector<KgProperty>> LocalEndpoint::Properties(EntityId id) {
   return out;
 }
 
-Result<EntityInfo> LocalEndpoint::Describe(EntityId id) {
-  if (id >= store_->num_entities()) {
-    return Status::NotFound("no entity with id " + std::to_string(id));
-  }
-  return store_->entity(id);
-}
-
 }  // namespace mesa

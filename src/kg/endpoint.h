@@ -48,14 +48,6 @@ class KgEndpoint {
   /// All properties of one entity, in the store's stable insertion order.
   virtual Result<std::vector<KgProperty>> Properties(EntityId id) = 0;
 
-  /// Metadata (label, type) of one entity.
-  virtual Result<EntityInfo> Describe(EntityId id) = 0;
-
-  /// The in-memory store backing this endpoint, or nullptr for a true
-  /// remote. Escape hatch for offline analyses that enumerate the whole
-  /// graph (Mesa::RankLinks) and for the raw-path benchmarks.
-  virtual const TripleStore* local_store() const { return nullptr; }
-
   /// Binds the caller's virtual clock so the endpoint can charge injected
   /// latency against deadlines. Default: no clock needed.
   virtual void BindClock(VirtualClock* clock) { (void)clock; }
@@ -63,11 +55,8 @@ class KgEndpoint {
   /// A fresh endpoint equivalent to this one, for a parallel extraction
   /// shard: same answers and same per-argument fault behaviour, but no
   /// shared mutable state (clock binding, attempt bookkeeping) with the
-  /// original. nullptr means "not cloneable" — the extractor then falls
-  /// back to its serial shared-client loop.
-  virtual std::shared_ptr<KgEndpoint> CloneForShard() const {
-    return nullptr;
-  }
+  /// original.
+  virtual std::shared_ptr<KgEndpoint> CloneForShard() const = 0;
 };
 
 /// The perfectly reliable endpoint: answers straight out of a TripleStore.
@@ -80,8 +69,6 @@ class LocalEndpoint : public KgEndpoint {
   Result<LinkResult> Resolve(const std::string& text,
                              const EntityLinkerOptions& options) override;
   Result<std::vector<KgProperty>> Properties(EntityId id) override;
-  Result<EntityInfo> Describe(EntityId id) override;
-  const TripleStore* local_store() const override { return store_; }
   std::shared_ptr<KgEndpoint> CloneForShard() const override {
     return std::make_shared<LocalEndpoint>(store_);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -16,35 +15,15 @@ namespace mesa {
 
 namespace {
 
-// Recursively gathers properties of `entity` into `out`, following
-// entity-valued predicates while hops remain. Attribute names compose as
-// "leader_age" for hop-2 properties.
-void GatherProperties(const TripleStore& store, EntityId entity,
+// Recursively gathers properties of `entity` into `out` through the
+// client, following entity-valued predicates while hops remain. Attribute
+// names compose as "leader_age" for hop-2 properties. A Properties call
+// that fails for good marks `*any_failure` and the walk keeps whatever
+// other branches it can reach — partial extraction beats no extraction.
+void GatherProperties(ResilientKgClient* client, EntityId entity,
                       const std::string& prefix, size_t hops_left,
-                      std::map<std::string, std::vector<Value>>* out) {
-  for (const Triple* t : store.PropertiesOf(entity)) {
-    const std::string& pred = store.predicate_name(t->predicate);
-    std::string name = prefix.empty() ? pred : prefix + "_" + pred;
-    if (t->object.is_entity()) {
-      // The entity's label is itself a (categorical) attribute value.
-      (*out)[name].push_back(
-          Value::String(store.entity(t->object.entity).label));
-      if (hops_left > 1) {
-        GatherProperties(store, t->object.entity, name, hops_left - 1, out);
-      }
-    } else {
-      (*out)[name].push_back(t->object.literal);
-    }
-  }
-}
-
-// The same gathering through the resilient client. A Properties call that
-// fails for good marks `*any_failure` and the walk keeps whatever other
-// branches it can reach — partial extraction beats no extraction.
-void GatherPropertiesClient(ResilientKgClient* client, EntityId entity,
-                            const std::string& prefix, size_t hops_left,
-                            std::map<std::string, std::vector<Value>>* out,
-                            bool* any_failure) {
+                      std::map<std::string, std::vector<Value>>* out,
+                      bool* any_failure) {
   Result<std::vector<KgProperty>> props = client->Properties(entity);
   if (!props.ok()) {
     *any_failure = true;
@@ -55,8 +34,8 @@ void GatherPropertiesClient(ResilientKgClient* client, EntityId entity,
     if (p.is_entity) {
       (*out)[name].push_back(Value::String(p.entity_label));
       if (hops_left > 1) {
-        GatherPropertiesClient(client, p.entity, name, hops_left - 1, out,
-                               any_failure);
+        GatherProperties(client, p.entity, name, hops_left - 1, out,
+                         any_failure);
       }
     } else {
       (*out)[name].push_back(p.literal);
@@ -188,17 +167,17 @@ std::map<std::string, Value> CollapseProps(
   return collapsed;
 }
 
-// Per-value scan output. The scans below (serial or worker-sharded) fill
-// one slot per distinct key value; AssembleSlots then replays the slots in
-// sorted key order, so rows, attribute names, and stats come out exactly
-// as the serial reference loop produces them regardless of how the scan
-// was scheduled across threads.
+// Per-value scan output. The worker-sharded scan fills one slot per
+// distinct key value; AssembleSlots then replays the slots in sorted key
+// order, so rows, attribute names, and stats come out exactly as a serial
+// loop produces them regardless of how the scan was scheduled across
+// threads.
 struct ValueSlot {
   enum class Outcome { kNotFound, kAmbiguous, kLinked, kFailed };
   Outcome outcome = Outcome::kNotFound;
   bool any_failure = false;  ///< linked, but a property fetch failed.
   std::map<std::string, std::vector<Value>> props;
-  ResilientKgClient::Counters counters;  ///< client shard path only.
+  ResilientKgClient::Counters counters;  ///< the value's shard client.
 };
 
 // Fixed key chunk of the parallel slot replay; a constant so the chunk
@@ -266,17 +245,87 @@ void AssembleSlots(const std::vector<std::string>& keys,
   }
 }
 
-// Shared augmentation driver: extracts per column via `extract`, renames
-// collisions, and left-joins the attributes onto the base table.
-Result<AugmentResult> AugmentImpl(
+}  // namespace
+
+Result<Table> ExtractAttributes(const Table& table, const std::string& column,
+                                ResilientKgClient* client,
+                                const ExtractionOptions& options,
+                                ExtractionStats* stats) {
+  MESA_SPAN("kg/extract");
+  MESA_ASSIGN_OR_RETURN(const std::vector<std::string> keys,
+                        DistinctKeys(table, column));
+
+  ExtractionStats local_stats;
+  local_stats.values_total = keys.size();
+
+  // Each distinct value gets its own shard client (fresh clock, breaker,
+  // cache over a cloned endpoint), so its retry/jitter/fault sequence is a
+  // pure function of the value — never of which thread ran it or what
+  // other values did first. The shard path is taken at *every* thread
+  // count (including 1) so results cannot depend on the pool size even
+  // under fault plans.
+  std::vector<ValueSlot> slots(keys.size());
+  ParallelFor(0, keys.size(), [&](size_t i) {
+    CancelCheckpoint();  // per-value extraction checkpoint
+    std::unique_ptr<ResilientKgClient> shard = client->CloneForShard();
+    ValueSlot& slot = slots[i];
+    Result<LinkResult> link = shard->Resolve(keys[i], options.linker);
+    if (!link.ok()) {
+      // The lookup itself died (deadline, permanent endpoint fault).
+      // Degrade: keep the key with no attributes, count the failure.
+      slot.outcome = ValueSlot::Outcome::kFailed;
+    } else if (!link->linked()) {
+      slot.outcome = link->outcome == LinkOutcome::kAmbiguous
+                         ? ValueSlot::Outcome::kAmbiguous
+                         : ValueSlot::Outcome::kNotFound;
+    } else {
+      slot.outcome = ValueSlot::Outcome::kLinked;
+      GatherProperties(shard.get(), *link->entity, "", options.hops,
+                       &slot.props, &slot.any_failure);
+    }
+    slot.counters = shard->counters();
+  });
+  ResilientKgClient::Counters total;
+  for (const ValueSlot& slot : slots) {
+    total.calls += slot.counters.calls;
+    total.attempts += slot.counters.attempts;
+    total.calls_retried += slot.counters.calls_retried;
+    total.failures += slot.counters.failures;
+    total.cache_hits += slot.counters.cache_hits;
+  }
+  client->AbsorbCounters(total);
+  local_stats.lookups_retried = static_cast<size_t>(total.calls_retried);
+
+  ExtractedRows rows;
+  std::set<std::string> attr_names;
+  AssembleSlots(keys, slots, options.one_to_many_agg, &local_stats, &rows,
+                &attr_names);
+  local_stats.attributes_extracted = attr_names.size();
+  if (stats != nullptr) *stats = local_stats;
+
+  if (local_stats.Coverage() < options.min_coverage) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "KG coverage %.1f%% below floor %.1f%% on column '%s' "
+                  "(%zu of %zu values failed)",
+                  100.0 * local_stats.Coverage(),
+                  100.0 * options.min_coverage, column.c_str(),
+                  local_stats.values_failed, local_stats.values_total);
+    return Status::Unavailable(msg);
+  }
+  return AssembleUniversalRelation(column, rows, attr_names);
+}
+
+Result<AugmentResult> AugmentTableFromKg(
     const Table& table, const std::vector<std::string>& columns,
-    const std::function<Result<Table>(const std::string&, ExtractionStats*)>&
-        extract) {
+    ResilientKgClient* client, const ExtractionOptions& options) {
   AugmentResult out;
   out.table = table;
   for (const std::string& column : columns) {
     ExtractionStats stats;
-    MESA_ASSIGN_OR_RETURN(Table extracted, extract(column, &stats));
+    MESA_ASSIGN_OR_RETURN(
+        Table extracted,
+        ExtractAttributes(table, column, client, options, &stats));
     out.stats.values_total += stats.values_total;
     out.stats.values_linked += stats.values_linked;
     out.stats.values_ambiguous += stats.values_ambiguous;
@@ -323,151 +372,6 @@ Result<AugmentResult> AugmentImpl(
   MESA_COUNT_N("kg/values_failed", out.stats.values_failed);
   MESA_COUNT_N("kg/attributes_extracted", out.stats.attributes_extracted);
   return out;
-}
-
-}  // namespace
-
-Result<Table> ExtractAttributes(const Table& table, const std::string& column,
-                                const TripleStore& store,
-                                const ExtractionOptions& options,
-                                ExtractionStats* stats) {
-  MESA_SPAN("kg/extract");
-  MESA_ASSIGN_OR_RETURN(const std::vector<std::string> keys,
-                        DistinctKeys(table, column));
-
-  ExtractionStats local_stats;
-  local_stats.values_total = keys.size();
-
-  // Linking and flattening are independent per key value: the linker is
-  // const over a const store, so one instance serves every worker.
-  EntityLinker linker(&store, options.linker);
-  std::vector<ValueSlot> slots(keys.size());
-  auto process = [&](size_t i) {
-    CancelCheckpoint();  // per-value extraction checkpoint
-    ValueSlot& slot = slots[i];
-    LinkResult link = linker.Link(keys[i]);
-    if (!link.linked()) {
-      slot.outcome = link.outcome == LinkOutcome::kAmbiguous
-                         ? ValueSlot::Outcome::kAmbiguous
-                         : ValueSlot::Outcome::kNotFound;
-      return;
-    }
-    slot.outcome = ValueSlot::Outcome::kLinked;
-    GatherProperties(store, *link.entity, "", options.hops, &slot.props);
-  };
-  ParallelFor(0, keys.size(), process);
-
-  ExtractedRows rows;
-  std::set<std::string> attr_names;
-  AssembleSlots(keys, slots, options.one_to_many_agg, &local_stats, &rows,
-                &attr_names);
-  local_stats.attributes_extracted = attr_names.size();
-  if (stats != nullptr) *stats = local_stats;
-  return AssembleUniversalRelation(column, rows, attr_names);
-}
-
-Result<Table> ExtractAttributes(const Table& table, const std::string& column,
-                                ResilientKgClient* client,
-                                const ExtractionOptions& options,
-                                ExtractionStats* stats) {
-  MESA_SPAN("kg/extract");
-  MESA_ASSIGN_OR_RETURN(const std::vector<std::string> keys,
-                        DistinctKeys(table, column));
-
-  ExtractionStats local_stats;
-  local_stats.values_total = keys.size();
-
-  // Fills one slot through `c`, which may be the shared client (endpoints
-  // that cannot shard) or a per-value shard.
-  std::vector<ValueSlot> slots(keys.size());
-  auto process = [&](ResilientKgClient* c, size_t i) {
-    CancelCheckpoint();  // per-value extraction checkpoint
-    ValueSlot& slot = slots[i];
-    Result<LinkResult> link = c->Resolve(keys[i], options.linker);
-    if (!link.ok()) {
-      // The lookup itself died (deadline, permanent endpoint fault).
-      // Degrade: keep the key with no attributes, count the failure.
-      slot.outcome = ValueSlot::Outcome::kFailed;
-      return;
-    }
-    if (!link->linked()) {
-      slot.outcome = link->outcome == LinkOutcome::kAmbiguous
-                         ? ValueSlot::Outcome::kAmbiguous
-                         : ValueSlot::Outcome::kNotFound;
-      return;
-    }
-    slot.outcome = ValueSlot::Outcome::kLinked;
-    GatherPropertiesClient(c, *link->entity, "", options.hops, &slot.props,
-                           &slot.any_failure);
-  };
-
-  if (client->SupportsSharding()) {
-    // Each distinct value gets its own shard client (fresh clock, breaker,
-    // cache over a cloned endpoint), so its retry/jitter/fault sequence is
-    // a pure function of the value — never of which thread ran it or what
-    // other values did first. The shard path is taken at *every* thread
-    // count (including 1) so results cannot depend on the pool size even
-    // under fault plans.
-    ParallelFor(0, keys.size(), [&](size_t i) {
-      std::unique_ptr<ResilientKgClient> shard = client->CloneForShard();
-      process(shard.get(), i);
-      slots[i].counters = shard->counters();
-    });
-    ResilientKgClient::Counters total;
-    for (const ValueSlot& slot : slots) {
-      total.calls += slot.counters.calls;
-      total.attempts += slot.counters.attempts;
-      total.calls_retried += slot.counters.calls_retried;
-      total.failures += slot.counters.failures;
-      total.cache_hits += slot.counters.cache_hits;
-    }
-    client->AbsorbCounters(total);
-    local_stats.lookups_retried = static_cast<size_t>(total.calls_retried);
-  } else {
-    const ResilientKgClient::Counters before = client->counters();
-    for (size_t i = 0; i < keys.size(); ++i) process(client, i);
-    local_stats.lookups_retried = static_cast<size_t>(
-        client->counters().calls_retried - before.calls_retried);
-  }
-
-  ExtractedRows rows;
-  std::set<std::string> attr_names;
-  AssembleSlots(keys, slots, options.one_to_many_agg, &local_stats, &rows,
-                &attr_names);
-  local_stats.attributes_extracted = attr_names.size();
-  if (stats != nullptr) *stats = local_stats;
-
-  if (local_stats.Coverage() < options.min_coverage) {
-    char msg[160];
-    std::snprintf(msg, sizeof(msg),
-                  "KG coverage %.1f%% below floor %.1f%% on column '%s' "
-                  "(%zu of %zu values failed)",
-                  100.0 * local_stats.Coverage(),
-                  100.0 * options.min_coverage, column.c_str(),
-                  local_stats.values_failed, local_stats.values_total);
-    return Status::Unavailable(msg);
-  }
-  return AssembleUniversalRelation(column, rows, attr_names);
-}
-
-Result<AugmentResult> AugmentTableFromKg(
-    const Table& table, const std::vector<std::string>& columns,
-    const TripleStore& store, const ExtractionOptions& options) {
-  return AugmentImpl(table, columns,
-                     [&](const std::string& column, ExtractionStats* stats) {
-                       return ExtractAttributes(table, column, store, options,
-                                                stats);
-                     });
-}
-
-Result<AugmentResult> AugmentTableFromKg(
-    const Table& table, const std::vector<std::string>& columns,
-    ResilientKgClient* client, const ExtractionOptions& options) {
-  return AugmentImpl(table, columns,
-                     [&](const std::string& column, ExtractionStats* stats) {
-                       return ExtractAttributes(table, column, client, options,
-                                                stats);
-                     });
 }
 
 }  // namespace mesa

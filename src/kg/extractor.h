@@ -6,7 +6,6 @@
 #include "common/result.h"
 #include "kg/entity_linker.h"
 #include "kg/resilient_client.h"
-#include "kg/triple_store.h"
 #include "query/aggregate.h"
 #include "table/table.h"
 
@@ -24,8 +23,7 @@ struct ExtractionOptions {
   AggregateFunction one_to_many_agg = AggregateFunction::kAvg;
   /// Linker configuration (type filter, fuzzy matching).
   EntityLinkerOptions linker;
-  /// Minimum acceptable KG coverage when extracting through a
-  /// ResilientKgClient: the fraction of distinct key values whose lookups
+  /// Minimum acceptable KG coverage: the fraction of distinct key values whose lookups
   /// fully succeeded (1 - values_failed / values_total). Per-key failures
   /// degrade gracefully — extraction keeps whatever attributes it could
   /// fetch — but a coverage below this floor returns an error Status
@@ -43,7 +41,7 @@ struct ExtractionStats {
   size_t attributes_extracted = 0;  ///< columns in the result (minus key).
   /// Key values for which at least one KG lookup failed for good (after
   /// retries); their rows keep whatever attributes were fetched. Always 0
-  /// on the raw TripleStore path.
+  /// against a fault-free endpoint.
   size_t values_failed = 0;
   /// Client calls that needed at least one retry during this extraction.
   size_t lookups_retried = 0;
@@ -59,25 +57,18 @@ struct ExtractionStats {
 };
 
 /// Extracts all KG properties for the distinct values of `column` in
-/// `table` — the universal-relation flattening of Section 3.1. The result
-/// has one row per distinct (linkable or not) key value; its first column
-/// repeats `column` so a left HashJoin attaches the attributes to the base
-/// table, leaving nulls for unlinked values and absent properties. Numeric
-/// attribute columns come out as double, everything else as string; a
-/// multi-valued predicate is aggregated per `one_to_many_agg` (numeric) or
-/// resolved to its lexicographically first value (categorical).
-Result<Table> ExtractAttributes(const Table& table, const std::string& column,
-                                const TripleStore& store,
-                                const ExtractionOptions& options = {},
-                                ExtractionStats* stats = nullptr);
-
-/// Same extraction, but against a (possibly remote, possibly faulty) KG
-/// endpoint through the resilient client. Per-key lookup failures that
-/// survive the retry policy are recorded in `stats->values_failed` and
-/// extraction proceeds with the attributes it could fetch; only a
-/// coverage below `options.min_coverage` fails the call. With a
-/// fault-free endpoint the result is bit-identical to the raw
-/// TripleStore overload.
+/// `table` — the universal-relation flattening of Section 3.1 — through
+/// the resilient client, which may front a remote or fault-injected
+/// endpoint. The result has one row per distinct (linkable or not) key
+/// value; its first column repeats `column` so a left HashJoin attaches
+/// the attributes to the base table, leaving nulls for unlinked values and
+/// absent properties. Numeric attribute columns come out as double,
+/// everything else as string; a multi-valued predicate is aggregated per
+/// `one_to_many_agg` (numeric) or resolved to its lexicographically first
+/// value (categorical). Per-key lookup failures that survive the retry
+/// policy are recorded in `stats->values_failed` and extraction proceeds
+/// with the attributes it could fetch; only a coverage below
+/// `options.min_coverage` fails the call.
 Result<Table> ExtractAttributes(const Table& table, const std::string& column,
                                 ResilientKgClient* client,
                                 const ExtractionOptions& options = {},
@@ -98,13 +89,6 @@ struct AugmentResult {
   /// only fires at this level.
   std::vector<Table> entity_tables;
 };
-Result<AugmentResult> AugmentTableFromKg(const Table& table,
-                                         const std::vector<std::string>& columns,
-                                         const TripleStore& store,
-                                         const ExtractionOptions& options = {});
-
-/// Client-backed augmentation (what the Mesa pipeline uses). Degrades
-/// gracefully per key; see the client ExtractAttributes overload.
 Result<AugmentResult> AugmentTableFromKg(const Table& table,
                                          const std::vector<std::string>& columns,
                                          ResilientKgClient* client,

@@ -116,7 +116,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       MESA_RETURN_IF_ERROR(SetRate(&plan.rates, key, value));
     } else {
       std::string op = key.substr(0, dot);
-      if (op != "resolve" && op != "properties" && op != "describe") {
+      if (op != "resolve" && op != "properties") {
         return Status::InvalidArgument("unknown fault-plan operation: " + op);
       }
       // An op override starts from the defaults parsed so far.
@@ -149,9 +149,8 @@ void FaultInjectingEndpoint::BindClock(VirtualClock* clock) {
 }
 
 std::shared_ptr<KgEndpoint> FaultInjectingEndpoint::CloneForShard() const {
-  std::shared_ptr<KgEndpoint> inner = inner_->CloneForShard();
-  if (!inner) return nullptr;
-  return std::make_shared<FaultInjectingEndpoint>(std::move(inner), plan_);
+  return std::make_shared<FaultInjectingEndpoint>(inner_->CloneForShard(),
+                                                  plan_);
 }
 
 Status FaultInjectingEndpoint::MaybeFault(const char* op, uint64_t arg_hash) {
@@ -205,11 +204,6 @@ Result<std::vector<KgProperty>> FaultInjectingEndpoint::Properties(
     EntityId id) {
   MESA_RETURN_IF_ERROR(MaybeFault("properties", id));
   return inner_->Properties(id);
-}
-
-Result<EntityInfo> FaultInjectingEndpoint::Describe(EntityId id) {
-  MESA_RETURN_IF_ERROR(MaybeFault("describe", id));
-  return inner_->Describe(id);
 }
 
 FaultInjectingEndpoint::Counters FaultInjectingEndpoint::counters() const {

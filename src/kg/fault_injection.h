@@ -47,7 +47,7 @@ struct FaultRates {
 };
 
 /// A complete fault plan: default rates plus optional per-operation
-/// overrides ("resolve", "properties", "describe").
+/// overrides ("resolve", "properties").
 struct FaultPlan {
   uint64_t seed = 1;
   FaultRates rates;
@@ -62,7 +62,7 @@ struct FaultPlan {
   /// Parses the plan grammar: `key=value` pairs separated by ';' or ',',
   /// whitespace ignored. Keys: seed, timeout, rate_limit, unavailable,
   /// truncate, malformed, fail_keys, latency (N or MIN:MAX, virtual ms) —
-  /// each optionally prefixed "resolve." / "properties." / "describe.".
+  /// each optionally prefixed "resolve." / "properties.".
   static Result<FaultPlan> Parse(const std::string& text);
 
   /// Parses MESA_FAULT_PLAN; an empty/unset variable yields a no-fault
@@ -82,10 +82,6 @@ class FaultInjectingEndpoint : public KgEndpoint {
   Result<LinkResult> Resolve(const std::string& text,
                              const EntityLinkerOptions& options) override;
   Result<std::vector<KgProperty>> Properties(EntityId id) override;
-  Result<EntityInfo> Describe(EntityId id) override;
-  const TripleStore* local_store() const override {
-    return inner_->local_store();
-  }
   void BindClock(VirtualClock* clock) override;
 
   /// Clones inner endpoint + plan. Fault draws are pure functions of

@@ -74,7 +74,6 @@ namespace {
 // Per-operation key tags, folded at compile time.
 constexpr uint64_t kResolveTag = StableHash64("resolve");
 constexpr uint64_t kPropertiesTag = StableHash64("properties");
-constexpr uint64_t kDescribeTag = StableHash64("describe");
 }  // namespace
 
 Result<LinkResult> ResilientKgClient::Resolve(
@@ -93,19 +92,9 @@ Result<std::vector<KgProperty>> ResilientKgClient::Properties(EntityId id) {
       MixSeed(kPropertiesTag, id), [&] { return endpoint_->Properties(id); });
 }
 
-Result<EntityInfo> ResilientKgClient::Describe(EntityId id) {
-  return Call<EntityInfo, /*kCachePayload=*/false>(
-      MixSeed(kDescribeTag, id), [&] { return endpoint_->Describe(id); });
-}
-
-bool ResilientKgClient::SupportsSharding() const {
-  return endpoint_->CloneForShard() != nullptr;
-}
-
 std::unique_ptr<ResilientKgClient> ResilientKgClient::CloneForShard() const {
-  std::shared_ptr<KgEndpoint> endpoint = endpoint_->CloneForShard();
-  if (!endpoint) return nullptr;
-  return std::make_unique<ResilientKgClient>(std::move(endpoint), options_);
+  return std::make_unique<ResilientKgClient>(endpoint_->CloneForShard(),
+                                             options_);
 }
 
 void ResilientKgClient::AbsorbCounters(const Counters& c) {

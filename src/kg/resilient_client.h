@@ -10,10 +10,9 @@
 ///   * a positive/negative response cache. Small, high-leverage
 ///     responses are cached: Resolve results and permanently failed
 ///     lookups (a retry-exhausted transient failure is not cached, so a
-///     later call may still succeed). Bulk payloads (Properties /
-///     Describe) are deliberately NOT retained — they are cheap to
-///     refetch next to the copy-and-hold cost of an unbounded payload
-///     cache.
+///     later call may still succeed). Bulk Properties payloads are
+///     deliberately NOT retained — they are cheap to refetch next to the
+///     copy-and-hold cost of an unbounded payload cache.
 ///
 /// Every lookup is visible through the metrics layer: kg.lookups,
 /// kg.lookup.retries, kg.lookup.failures, kg.cache.hits / kg.cache.misses,
@@ -54,9 +53,6 @@ class ResilientKgClient {
   Result<LinkResult> Resolve(const std::string& text,
                              const EntityLinkerOptions& options);
   Result<std::vector<KgProperty>> Properties(EntityId id);
-  Result<EntityInfo> Describe(EntityId id);
-
-  const TripleStore* local_store() const { return endpoint_->local_store(); }
 
   /// Cumulative bookkeeping; snapshot before/after a phase and subtract
   /// to attribute work (the extractor feeds ExtractionStats this way).
@@ -69,16 +65,12 @@ class ResilientKgClient {
   };
   Counters counters() const;
 
-  /// True when the endpoint can be cloned for parallel per-value
-  /// extraction shards (KgEndpoint::CloneForShard).
-  bool SupportsSharding() const;
-
   /// A fresh client over a cloned endpoint: same options, own virtual
   /// clock / breaker / cache, zeroed counters. The extractor gives each
   /// distinct entity value its own shard client so the value's retry and
   /// fault sequence is a pure function of the value — identical at any
   /// thread count — then folds the shard counters back via
-  /// AbsorbCounters. nullptr when the endpoint is not cloneable.
+  /// AbsorbCounters.
   std::unique_ptr<ResilientKgClient> CloneForShard() const;
 
   /// Adds `c` into this client's cumulative counters (shard absorption).
@@ -90,7 +82,7 @@ class ResilientKgClient {
 
  private:
   using CachedValue =
-      std::variant<Status, LinkResult, std::vector<KgProperty>, EntityInfo>;
+      std::variant<Status, LinkResult, std::vector<KgProperty>>;
 
   /// Runs `attempt` (any callable returning Result<T>) under retry +
   /// breaker + cache. `call_key` is a 64-bit mix of the operation tag and

@@ -104,6 +104,8 @@ Result<TripleStore> ReadKgString(const std::string& text) {
     ++line_no;
     std::string_view sv = StripWhitespace(line);
     if (sv.empty() || sv[0] == '#') continue;
+    // A record is its kind letter, one separator, and a body.
+    if (sv.size() < 2) return error("truncated record");
     char kind = sv[0];
     std::string rest(sv.substr(2));
     switch (kind) {

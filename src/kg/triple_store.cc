@@ -1,7 +1,6 @@
 #include "kg/triple_store.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/string_util.h"
 
@@ -105,15 +104,6 @@ std::vector<EntityId> TripleStore::FindByNormalized(
   return it->second;
 }
 
-std::vector<EntityId> TripleStore::EntitiesOfType(
-    const std::string& type) const {
-  std::vector<EntityId> out;
-  for (EntityId id = 0; id < entities_.size(); ++id) {
-    if (entities_[id].type == type) out.push_back(id);
-  }
-  return out;
-}
-
 std::vector<const Triple*> TripleStore::Match(
     const TriplePattern& pattern) const {
   std::vector<const Triple*> out;
@@ -153,17 +143,6 @@ std::vector<const Triple*> TripleStore::Match(
     if (matches(t)) out.push_back(&t);
   }
   return out;
-}
-
-std::vector<std::string> TripleStore::PredicatesOfType(
-    const std::string& type) const {
-  std::set<std::string> names;
-  for (const auto& t : triples_) {
-    if (entities_[t.subject].type == type) {
-      names.insert(predicate_names_[t.predicate]);
-    }
-  }
-  return {names.begin(), names.end()};
 }
 
 }  // namespace mesa

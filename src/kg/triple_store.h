@@ -106,12 +106,6 @@ class TripleStore {
   /// All entities whose normalised label/alias equals the normalised query.
   std::vector<EntityId> FindByNormalized(const std::string& text) const;
 
-  /// All entity ids of a given type.
-  std::vector<EntityId> EntitiesOfType(const std::string& type) const;
-
-  /// Distinct predicate names used on subjects of the given type.
-  std::vector<std::string> PredicatesOfType(const std::string& type) const;
-
   /// Triple-pattern query (SPARQL-style basic graph pattern with a single
   /// triple): each unset field is a wildcard. Returns pointers into the
   /// store, valid until the next mutation.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/metrics.h"
-#include "missing/mask.h"
 #include "query/group_by.h"
 
 namespace mesa {
@@ -110,32 +109,6 @@ bool TrivialIpwWeights(const std::vector<uint8_t>& observed,
   // All-missing stays all-zero; fully observed gets unit weights.
   weights->assign(observed.size(), count == 0 ? 0.0 : 1.0);
   return true;
-}
-
-Result<IpwWeights> ComputeIpwWeights(const Table& table,
-                                     const std::string& attribute,
-                                     const IpwOptions& options) {
-  if (options.covariates.empty()) {
-    return Status::InvalidArgument("IPW needs at least one covariate");
-  }
-  MESA_ASSIGN_OR_RETURN(const Column* attr, table.ColumnByName(attribute));
-  const size_t n = attr->size();
-
-  std::vector<uint8_t> r = MissingnessIndicator(*attr);
-  IpwWeights out;
-  out.marginal_rate =
-      n == 0 ? 0.0 : static_cast<double>(CountObserved(r)) / n;
-  if (TrivialIpwWeights(r, &out.weights)) {
-    out.model_converged = true;
-    return out;
-  }
-  MESA_ASSIGN_OR_RETURN(IpwDesign design,
-                        IpwDesign::Build(table, options.covariates));
-  MESA_ASSIGN_OR_RETURN(LogisticModel model,
-                        design.Fit(r, options.logistic));
-  out.model_converged = model.converged();
-  out.weights = design.Weights(r, model, options.clip);
-  return out;
 }
 
 }  // namespace mesa

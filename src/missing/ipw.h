@@ -23,17 +23,6 @@ struct IpwOptions {
   LogisticOptions logistic;
 };
 
-/// Result of weight estimation for one attribute.
-struct IpwWeights {
-  /// Per-row weight: P(R_E=1) / P̂(R_E=1 | X_i) for complete cases, 0 for
-  /// rows where the attribute is missing. Plug these into the weighted
-  /// CMI/MI estimators.
-  std::vector<double> weights;
-  /// Overall observation rate P(R_E = 1).
-  double marginal_rate = 0.0;
-  bool model_converged = false;
-};
-
 /// The propensity model's design over one table: every covariate
 /// standardized (z-scored over its non-null rows; null cells sit at the
 /// mean, i.e. 0) into one row-major rows × covariates block. Numeric
@@ -71,15 +60,6 @@ class IpwDesign {
 /// (and leaves `weights` alone) when a model is needed.
 bool TrivialIpwWeights(const std::vector<uint8_t>& observed,
                        std::vector<double>* weights);
-
-/// Computes IPW weights for `attribute` by fitting a logistic regression of
-/// its missingness indicator on the covariates (the paper's pre-processing
-/// step). Rows where a covariate is itself null contribute a neutral
-/// feature value (covariate mean), keeping the fit defined on all rows.
-/// Equivalent to IpwDesign::Build + Fit + Weights.
-Result<IpwWeights> ComputeIpwWeights(const Table& table,
-                                     const std::string& attribute,
-                                     const IpwOptions& options);
 
 }  // namespace mesa
 

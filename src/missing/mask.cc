@@ -13,8 +13,6 @@ std::vector<uint8_t> MissingnessIndicator(const Column& column) {
   return r;
 }
 
-double MissingFraction(const Column& column) { return column.null_fraction(); }
-
 Result<size_t> InjectMissing(Table* table, const std::string& column,
                              double fraction, RemovalMode mode, Rng* rng) {
   if (fraction < 0.0 || fraction > 1.0) {

@@ -15,9 +15,6 @@ namespace mesa {
 /// attribute E was extracted (is non-null) for row i.
 std::vector<uint8_t> MissingnessIndicator(const Column& column);
 
-/// Fraction of rows with a null in `column`.
-double MissingFraction(const Column& column);
-
 /// How to remove values in the Fig. 3 robustness experiments.
 enum class RemovalMode {
   /// Missing completely at random.

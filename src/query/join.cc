@@ -129,8 +129,8 @@ int64_t KeyIndex::Find(const Value& key) const {
 Result<Table> HashJoin(const Table& left, const std::string& left_key,
                        const Table& right, const std::string& right_key,
                        const JoinOptions& options) {
-  MESA_ASSIGN_OR_RETURN(KeyIndex index, KeyIndex::Build(right, right_key));
   MESA_SPAN("query/join");
+  MESA_ASSIGN_OR_RETURN(KeyIndex index, KeyIndex::Build(right, right_key));
   MESA_COUNT("query/hash_joins");
   MESA_ASSIGN_OR_RETURN(const Column* lkey, left.ColumnByName(left_key));
 

@@ -119,15 +119,6 @@ double RegularizedIncompleteBeta(double a, double b, double x) {
   return 1.0 - front * BetaContinuedFraction(b, a, 1.0 - x) / b;
 }
 
-double NormalCdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
-
-double StudentTCdf(double t, double df) {
-  if (df <= 0.0) return std::numeric_limits<double>::quiet_NaN();
-  double x = df / (df + t * t);
-  double p = 0.5 * RegularizedIncompleteBeta(df / 2.0, 0.5, x);
-  return t > 0.0 ? 1.0 - p : p;
-}
-
 double StudentTPValueTwoSided(double t, double df) {
   double x = df / (df + t * t);
   return RegularizedIncompleteBeta(df / 2.0, 0.5, x);

@@ -12,12 +12,6 @@ double RegularizedGammaP(double a, double x);
 /// Regularised incomplete beta I_x(a, b), 0 <= x <= 1, a,b > 0.
 double RegularizedIncompleteBeta(double a, double b, double x);
 
-/// Standard normal CDF.
-double NormalCdf(double z);
-
-/// Student-t CDF with `df` degrees of freedom.
-double StudentTCdf(double t, double df);
-
 /// Two-sided p-value for a t statistic with `df` degrees of freedom.
 double StudentTPValueTwoSided(double t, double df);
 

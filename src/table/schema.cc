@@ -30,14 +30,6 @@ bool Schema::Contains(const std::string& name) const {
   return index_.count(name) > 0;
 }
 
-Result<Field> Schema::FieldByName(const std::string& name) const {
-  auto idx = IndexOf(name);
-  if (!idx.has_value()) {
-    return Status::NotFound("no such field: " + name);
-  }
-  return fields_[*idx];
-}
-
 std::vector<std::string> Schema::names() const {
   std::vector<std::string> out;
   out.reserve(fields_.size());

@@ -41,9 +41,6 @@ class Schema {
   /// True if a field with this name exists.
   bool Contains(const std::string& name) const;
 
-  /// Field lookup by name.
-  Result<Field> FieldByName(const std::string& name) const;
-
   /// All field names, in schema order.
   std::vector<std::string> names() const;
 

@@ -77,6 +77,14 @@ std::vector<std::string> AllCandidates() {
           "noise",  "indiv",       "constant", "sparse"};
 }
 
+// Index of the prepared candidate named `name`, or -1.
+int FindAttribute(const QueryAnalysis& qa, const std::string& name) {
+  for (size_t i = 0; i < qa.attributes().size(); ++i) {
+    if (qa.attributes()[i].name == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
 // ---------------------------------------------------------- QueryAnalysis
 
 TEST(QueryAnalysis, PrepareBasics) {
@@ -85,8 +93,8 @@ TEST(QueryAnalysis, PrepareBasics) {
   ASSERT_TRUE(qa.ok());
   EXPECT_EQ(qa->num_rows(), w.table.num_rows());
   EXPECT_GT(qa->BaseCmi(), 0.5);
-  EXPECT_GE(qa->FindAttribute("conf_u"), 0);
-  EXPECT_EQ(qa->FindAttribute("nope"), -1);
+  EXPECT_GE(FindAttribute(*qa, "conf_u"), 0);
+  EXPECT_EQ(FindAttribute(*qa, "nope"), -1);
   // Exposure / outcome never become candidates even if listed.
   auto qa2 = QueryAnalysis::Prepare(w.table, w.query,
                                     {"outcome", "group", "conf_u"});
@@ -112,8 +120,8 @@ TEST(QueryAnalysis, NoContextBorrowsInputTableAcrossMoves) {
   ASSERT_TRUE(qa.ok());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(&qa->context_table(), &w.table);
-  const size_t u = static_cast<size_t>(qa->FindAttribute("conf_u"));
-  const size_t v = static_cast<size_t>(qa->FindAttribute("conf_v"));
+  const size_t u = static_cast<size_t>(FindAttribute(*qa, "conf_u"));
+  const size_t v = static_cast<size_t>(FindAttribute(*qa, "conf_v"));
 
   QueryAnalysis moved = std::move(*qa);
   EXPECT_EQ(&moved.context_table(), &w.table);
@@ -152,8 +160,8 @@ TEST(QueryAnalysis, ConfounderReducesCmiNoiseDoesNot) {
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
   double base = qa->BaseCmi();
-  double with_u = qa->CmiGivenAttribute(qa->FindAttribute("conf_u"));
-  double with_noise = qa->CmiGivenAttribute(qa->FindAttribute("noise"));
+  double with_u = qa->CmiGivenAttribute(FindAttribute(*qa, "conf_u"));
+  double with_noise = qa->CmiGivenAttribute(FindAttribute(*qa, "noise"));
   EXPECT_LT(with_u, base);
   EXPECT_LT(with_u, with_noise);
 }
@@ -162,8 +170,8 @@ TEST(QueryAnalysis, JointSetBeatsSingles) {
   World w = MakeWorld();
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
-  size_t u = qa->FindAttribute("conf_u");
-  size_t v = qa->FindAttribute("conf_v");
+  size_t u = FindAttribute(*qa, "conf_u");
+  size_t v = FindAttribute(*qa, "conf_v");
   double joint = qa->CmiGivenSet({u, v});
   EXPECT_LT(joint, qa->CmiGivenAttribute(u));
   EXPECT_LT(joint, qa->CmiGivenAttribute(v));
@@ -180,9 +188,9 @@ TEST(QueryAnalysis, PairwiseMiSymmetricAndCached) {
   World w = MakeWorld();
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
-  size_t u = qa->FindAttribute("conf_u");
-  size_t t = qa->FindAttribute("conf_u_twin");
-  size_t n = qa->FindAttribute("noise");
+  size_t u = FindAttribute(*qa, "conf_u");
+  size_t t = FindAttribute(*qa, "conf_u_twin");
+  size_t n = FindAttribute(*qa, "noise");
   double mi_ut = qa->PairwiseMi(u, t);
   EXPECT_DOUBLE_EQ(mi_ut, qa->PairwiseMi(t, u));
   // Twin is far more redundant with conf_u than noise is.
@@ -196,8 +204,8 @@ TEST(QueryAnalysis, NormalizedRedundancyInUnitRange) {
   World w = MakeWorld();
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
-  size_t u = qa->FindAttribute("conf_u");
-  size_t t = qa->FindAttribute("conf_u_twin");
+  size_t u = FindAttribute(*qa, "conf_u");
+  size_t t = FindAttribute(*qa, "conf_u_twin");
   double r = qa->NormalizedRedundancy(u, t);
   EXPECT_GT(r, 0.7);   // near-duplicates
   EXPECT_LE(r, 1.05);  // small estimator slack
@@ -207,11 +215,11 @@ TEST(QueryAnalysis, IdentificationFraction) {
   World w = MakeWorld();
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
-  size_t code = qa->FindAttribute("group_code");
+  size_t code = FindAttribute(*qa, "group_code");
   // A bijection of the exposure identifies everything.
   EXPECT_GT(qa->IdentificationFraction({code}), 0.95);
   // A single binned confounder does not.
-  size_t u = qa->FindAttribute("conf_u");
+  size_t u = FindAttribute(*qa, "conf_u");
   EXPECT_LT(qa->IdentificationFraction({u}), 0.5);
   EXPECT_DOUBLE_EQ(qa->IdentificationFraction({}), 0.0);
 }
@@ -221,7 +229,7 @@ TEST(QueryAnalysis, SparseAttributeGetsMissingFraction) {
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
   const auto& attr =
-      qa->attributes()[static_cast<size_t>(qa->FindAttribute("sparse"))];
+      qa->attributes()[static_cast<size_t>(FindAttribute(*qa, "sparse"))];
   EXPECT_GT(attr.missing_fraction, 0.85);
 }
 
@@ -547,7 +555,7 @@ TEST(Responsibility, SingletonIsOne) {
   World w = MakeWorld();
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
-  size_t u = qa->FindAttribute("conf_u");
+  size_t u = FindAttribute(*qa, "conf_u");
   auto r = ComputeResponsibilities(*qa, {u});
   ASSERT_EQ(r.size(), 1u);
   EXPECT_DOUBLE_EQ(r[0].responsibility, 1.0);
@@ -558,8 +566,8 @@ TEST(Responsibility, SumsToOneWhenAllContribute) {
   World w = MakeWorld();
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
-  size_t u = qa->FindAttribute("conf_u");
-  size_t v = qa->FindAttribute("conf_v");
+  size_t u = FindAttribute(*qa, "conf_u");
+  size_t v = FindAttribute(*qa, "conf_v");
   auto r = ComputeResponsibilities(*qa, {u, v});
   ASSERT_EQ(r.size(), 2u);
   EXPECT_NEAR(r[0].responsibility + r[1].responsibility, 1.0, 1e-9);
@@ -574,8 +582,8 @@ TEST(Responsibility, StrongerConfounderGetsMore) {
   World w = MakeWorld();
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
-  size_t u = qa->FindAttribute("conf_u");
-  size_t v = qa->FindAttribute("conf_v");
+  size_t u = FindAttribute(*qa, "conf_u");
+  size_t v = FindAttribute(*qa, "conf_v");
   auto r = ComputeResponsibilities(*qa, {u, v});
   ASSERT_EQ(r.size(), 2u);
   EXPECT_EQ(r[0].name, "conf_u");
@@ -585,9 +593,9 @@ TEST(Responsibility, UselessAttributeGetsNonPositive) {
   World w = MakeWorld();
   auto qa = QueryAnalysis::Prepare(w.table, w.query, AllCandidates());
   ASSERT_TRUE(qa.ok());
-  size_t u = qa->FindAttribute("conf_u");
-  size_t v = qa->FindAttribute("conf_v");
-  size_t ind = qa->FindAttribute("indiv");
+  size_t u = FindAttribute(*qa, "conf_u");
+  size_t v = FindAttribute(*qa, "conf_v");
+  size_t ind = FindAttribute(*qa, "indiv");
   auto r = ComputeResponsibilities(*qa, {u, v, ind});
   double indiv_resp = 0.0;
   for (const auto& e : r) {

@@ -208,7 +208,14 @@ std::vector<double> EstimatorBattery(uint64_t seed) {
   // Exact repeats: scalar memo hits.
   out.push_back(ConditionalMutualInformation(x, y, z, w));
   out.push_back(MutualInformation(x, y, w));
-  out.push_back(InteractionInformation(x, y, z, w));
+  // MI and CMI over the rows where all three variables are observed.
+  const CodedVariable xyz = CombinePair(CombinePair(x, z), y);
+  CodedVariable xm = x, ym = y, zm = z;
+  for (size_t i = 0; i < n; ++i) {
+    if (xyz.codes[i] < 0) xm.codes[i] = ym.codes[i] = zm.codes[i] = -1;
+  }
+  out.push_back(MutualInformation(xm, ym, w) -
+                ConditionalMutualInformation(xm, ym, zm, w));
   IndependenceResult ci = ConditionalIndependenceTest(x, y, z, ind);
   out.push_back(ci.cmi);
   out.push_back(ci.p_value);

@@ -11,6 +11,33 @@
 namespace mesa {
 namespace {
 
+// Joint entropy H(X, Y): the entropy of the paired code.
+double JointEntropy(const CodedVariable& x, const CodedVariable& y,
+                    const std::vector<double>* weights,
+                    const EntropyOptions& options) {
+  return Entropy(CombinePair(x, y), weights, options);
+}
+
+// Interaction information I(X; Y; Z) = I(X;Y) - I(X;Y|Z), both terms over
+// the rows where all three variables are observed. Positive means Z
+// explains away part of the X-Y association (what a confounder does);
+// negative means conditioning on Z *induces* association (the paper's
+// Hobby example).
+double InteractionInformation(const CodedVariable& x, const CodedVariable& y,
+                              const CodedVariable& z) {
+  const CodedVariable xyz = CombinePair(CombinePair(x, z), y);
+  auto mask = [&](CodedVariable v) {
+    for (size_t i = 0; i < v.codes.size(); ++i) {
+      if (xyz.codes[i] < 0) v.codes[i] = -1;
+    }
+    return v;
+  };
+  const CodedVariable xm = mask(x);
+  const CodedVariable ym = mask(y);
+  return MutualInformation(xm, ym) -
+         ConditionalMutualInformation(xm, ym, mask(z));
+}
+
 CodedVariable MakeVar(std::vector<int32_t> codes, int32_t card) {
   return CodedVariable{std::move(codes), card};
 }

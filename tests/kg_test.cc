@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/logging.h"
+#include "kg/endpoint.h"
 #include "kg/entity_linker.h"
 #include "kg/extractor.h"
 #include "kg/synthetic_kg.h"
@@ -59,18 +62,6 @@ TEST(TripleStore, LabelAndAliasLookup) {
   // Normalised lookup matches case / punctuation variants.
   auto norm = kg.FindByNormalized("russian federation");
   ASSERT_EQ(norm.size(), 1u);
-}
-
-TEST(TripleStore, EntitiesAndPredicatesOfType) {
-  TripleStore kg;
-  EntityId a = *kg.AddEntity("A", "Country");
-  EntityId b = *kg.AddEntity("B", "City");
-  ASSERT_TRUE(kg.AddLiteral(a, "hdi", Value::Double(1)).ok());
-  ASSERT_TRUE(kg.AddLiteral(b, "pop", Value::Double(2)).ok());
-  EXPECT_EQ(kg.EntitiesOfType("Country").size(), 1u);
-  auto preds = kg.PredicatesOfType("Country");
-  ASSERT_EQ(preds.size(), 1u);
-  EXPECT_EQ(preds[0], "hdi");
 }
 
 // ------------------------------------------------------------ EntityLinker
@@ -173,11 +164,25 @@ Table BaseTable() {
       "Atlantis,50\n");
 }
 
+// Extraction the way Mesa runs it: through a fault-free client over `kg`.
+Result<Table> Extract(const Table& base, const TripleStore& kg,
+                      const ExtractionOptions& options = {},
+                      ExtractionStats* stats = nullptr,
+                      const std::string& column = "Country") {
+  ResilientKgClient client(std::make_shared<LocalEndpoint>(&kg));
+  return ExtractAttributes(base, column, &client, options, stats);
+}
+
+Result<AugmentResult> Augment(const Table& base, const TripleStore& kg) {
+  ResilientKgClient client(std::make_shared<LocalEndpoint>(&kg));
+  return AugmentTableFromKg(base, {"Country"}, &client);
+}
+
 TEST(Extractor, OneHopUniversalRelation) {
   TripleStore kg = CountryKg();
   Table base = BaseTable();
   ExtractionStats stats;
-  auto e = ExtractAttributes(base, "Country", kg, {}, &stats);
+  auto e = Extract(base, kg, {}, &stats);
   ASSERT_TRUE(e.ok());
   // One row per distinct key value (Atlantis, France, Germany, USA).
   EXPECT_EQ(e->num_rows(), 4u);
@@ -194,7 +199,7 @@ TEST(Extractor, OneHopUniversalRelation) {
 
 TEST(Extractor, MissingPropertiesAreNull) {
   TripleStore kg = CountryKg();
-  auto e = ExtractAttributes(BaseTable(), "Country", kg);
+  auto e = Extract(BaseTable(), kg);
   ASSERT_TRUE(e.ok());
   // Find France's row (rows sorted by key: Atlantis, France, Germany, USA).
   EXPECT_TRUE(e->GetCell(1, "gini")->is_null());
@@ -207,7 +212,7 @@ TEST(Extractor, TwoHopsBringLeaderAge) {
   TripleStore kg = CountryKg();
   ExtractionOptions opts;
   opts.hops = 2;
-  auto e = ExtractAttributes(BaseTable(), "Country", kg, opts);
+  auto e = Extract(BaseTable(), kg, opts);
   ASSERT_TRUE(e.ok());
   ASSERT_TRUE(e->schema().Contains("leader_age"));
   EXPECT_DOUBLE_EQ(e->GetCell(2, "leader_age")->double_value(), 65.0);
@@ -217,19 +222,19 @@ TEST(Extractor, OneToManyAggregation) {
   TripleStore kg = CountryKg();
   ExtractionOptions avg_opts;
   avg_opts.one_to_many_agg = AggregateFunction::kAvg;
-  auto e = ExtractAttributes(BaseTable(), "Country", kg, avg_opts);
+  auto e = Extract(BaseTable(), kg, avg_opts);
   ASSERT_TRUE(e.ok());
   EXPECT_DOUBLE_EQ(e->GetCell(3, "group_size")->double_value(), 20.0);
   ExtractionOptions max_opts;
   max_opts.one_to_many_agg = AggregateFunction::kMax;
-  auto e2 = ExtractAttributes(BaseTable(), "Country", kg, max_opts);
+  auto e2 = Extract(BaseTable(), kg, max_opts);
   ASSERT_TRUE(e2.ok());
   EXPECT_DOUBLE_EQ(e2->GetCell(3, "group_size")->double_value(), 30.0);
 }
 
 TEST(Extractor, AliasLinksUsa) {
   TripleStore kg = CountryKg();
-  auto e = ExtractAttributes(BaseTable(), "Country", kg);
+  auto e = Extract(BaseTable(), kg);
   ASSERT_TRUE(e.ok());
   EXPECT_DOUBLE_EQ(e->GetCell(3, "hdi")->double_value(), 0.92);
 }
@@ -237,12 +242,12 @@ TEST(Extractor, AliasLinksUsa) {
 TEST(Extractor, RejectsNumericKeyColumn) {
   TripleStore kg = CountryKg();
   Table base = *ReadCsvString("k,v\n1,2\n");
-  EXPECT_FALSE(ExtractAttributes(base, "k", kg).ok());
+  EXPECT_FALSE(Extract(base, kg, {}, nullptr, "k").ok());
 }
 
 TEST(Extractor, AugmentJoinsOntoBase) {
   TripleStore kg = CountryKg();
-  auto aug = AugmentTableFromKg(BaseTable(), {"Country"}, kg);
+  auto aug = Augment(BaseTable(), kg);
   ASSERT_TRUE(aug.ok());
   EXPECT_EQ(aug->table.num_rows(), 5u);
   EXPECT_TRUE(aug->table.schema().Contains("hdi"));
@@ -260,7 +265,7 @@ TEST(Extractor, AugmentPrefixesCollisions) {
   TripleStore kg = CountryKg();
   // Base already has an "hdi" column.
   Table base = *ReadCsvString("Country,hdi\nGermany,9\n");
-  auto aug = AugmentTableFromKg(base, {"Country"}, kg);
+  auto aug = Augment(base, kg);
   ASSERT_TRUE(aug.ok());
   EXPECT_TRUE(aug->table.schema().Contains("Country.hdi"));
   EXPECT_DOUBLE_EQ(aug->table.GetCell(0, "Country.hdi")->double_value(), 0.94);
@@ -335,7 +340,10 @@ TEST(SyntheticKg, NoisePropertiesIncludeIdAndType) {
   SyntheticKgBuilder b(&kg, 3);
   EntityId e = b.EnsureEntity("X", "Country");
   b.AddNoiseProperties(e, "Country", 2, 0.0);
-  auto preds = kg.PredicatesOfType("Country");
+  std::vector<std::string> preds;
+  for (const Triple* t : kg.PropertiesOf(e)) {
+    preds.push_back(kg.predicate_name(t->predicate));
+  }
   EXPECT_NE(std::find(preds.begin(), preds.end(), "type"), preds.end());
   EXPECT_NE(std::find(preds.begin(), preds.end(), "wikiID"), preds.end());
   EXPECT_NE(std::find(preds.begin(), preds.end(), "noise_attr_0"), preds.end());

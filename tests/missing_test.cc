@@ -10,6 +10,7 @@
 #include "missing/mask.h"
 #include "missing/selection_bias.h"
 #include "table/table_builder.h"
+#include "one_shot_ipw.h"
 
 namespace mesa {
 namespace {
@@ -47,7 +48,7 @@ TEST(Mask, MissingnessIndicator) {
   c.AppendDouble(2);
   auto r = MissingnessIndicator(c);
   EXPECT_EQ(r, (std::vector<uint8_t>{1, 0, 1}));
-  EXPECT_NEAR(MissingFraction(c), 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(c.null_fraction(), 1.0 / 3.0, 1e-12);
 }
 
 TEST(Mask, InjectRandomMissing) {

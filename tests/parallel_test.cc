@@ -32,7 +32,6 @@ TEST(ParallelFor, EmptyRange) {
   std::atomic<int> calls{0};
   ParallelFor(5, 5, [&](size_t) { ++calls; });
   ParallelFor(7, 3, [&](size_t) { ++calls; });
-  ParallelForChunks(2, 2, [&](size_t, size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -50,18 +49,6 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i], 1) << "index " << i;
   }
-}
-
-TEST(ParallelFor, ChunksCoverRangeWithoutOverlap) {
-  SetNumThreads(8);
-  constexpr size_t kBegin = 17, kEnd = 4321;
-  std::vector<int> hits(kEnd, 0);
-  ParallelForChunks(kBegin, kEnd, [&](size_t lo, size_t hi) {
-    ASSERT_LT(lo, hi);
-    for (size_t i = lo; i < hi; ++i) hits[i]++;
-  });
-  for (size_t i = 0; i < kBegin; ++i) ASSERT_EQ(hits[i], 0);
-  for (size_t i = kBegin; i < kEnd; ++i) ASSERT_EQ(hits[i], 1);
 }
 
 TEST(ParallelFor, NestedCallsRunInline) {

@@ -27,6 +27,7 @@
 #include "missing/mask.h"
 #include "query/group_by.h"
 #include "table/table_builder.h"
+#include "one_shot_ipw.h"
 
 namespace mesa {
 namespace {

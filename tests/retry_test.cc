@@ -223,7 +223,6 @@ TEST(FaultPlan, PerOpOverrideStartsFromTheDefaults) {
   ASSERT_TRUE(plan.ok());
   EXPECT_DOUBLE_EQ(plan->RatesFor("resolve").timeout, 0.5);
   EXPECT_DOUBLE_EQ(plan->RatesFor("properties").timeout, 0.0);
-  EXPECT_DOUBLE_EQ(plan->RatesFor("describe").timeout, 0.5);
 }
 
 TEST(FaultPlan, RejectsGarbage) {
@@ -234,6 +233,7 @@ TEST(FaultPlan, RejectsGarbage) {
   EXPECT_FALSE(FaultPlan::Parse("latency=5:1").ok());        // min > max
   EXPECT_FALSE(FaultPlan::Parse("latency=1:2:3").ok());      // bad shape
   EXPECT_FALSE(FaultPlan::Parse("teleport.timeout=1").ok()); // unknown op
+  EXPECT_FALSE(FaultPlan::Parse("describe.timeout=1").ok()); // no such op
   EXPECT_FALSE(FaultPlan::Parse("timeout").ok());            // missing '='
 }
 
@@ -280,12 +280,7 @@ TEST(LocalEndpoint, AnswersFromTheStore) {
   EXPECT_FALSE((*props)[0].is_entity);
   EXPECT_TRUE((*props)[1].is_entity);
   EXPECT_EQ((*props)[1].entity_label, "France");  // label inlined
-
-  auto info = ep.Describe(*link->entity);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->label, "Germany");
-  EXPECT_EQ(info->type, "Country");
-  EXPECT_FALSE(ep.Describe(99).ok());
+  EXPECT_FALSE(ep.Properties(99).ok());
 }
 
 TEST(FaultInjectingEndpoint, CertainTimeoutAlwaysFaults) {
@@ -443,7 +438,7 @@ TEST(ResilientKgClient, BreakerOpensUnderAPermanentFailureStorm) {
 
   // Distinct keys so the negative cache cannot absorb the storm.
   for (EntityId id = 0; id < 6; ++id) {
-    EXPECT_FALSE(client.Describe(id).ok());
+    EXPECT_FALSE(client.Properties(id).ok());
   }
   EXPECT_GE(client.breaker().times_opened(), 1u);
 }

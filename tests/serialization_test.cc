@@ -119,6 +119,14 @@ TEST(KgSerialization, RejectsMalformedInput) {
       ReadKgString("E 0 T\tL\nL 0\tp\tq:1\n").ok());  // bad literal tag
   EXPECT_FALSE(ReadKgString("E 0 T\tL\nG 0\tp\t7\n").ok());  // bad object
   EXPECT_FALSE(ReadKgString("A 0\talias\n").ok());           // alias w/o entity
+  // A record line of one character has no body.
+  for (const char* line : {"E", "X", "L"}) {
+    EXPECT_FALSE(ReadKgString(line).ok()) << line;
+    auto one = ReadKgString(std::string("E 0 T\tL\n") + line + "\n");
+    ASSERT_FALSE(one.ok()) << line;
+    EXPECT_EQ(one.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(one.status().message().find("line 2"), std::string::npos);
+  }
   // Errors carry line numbers.
   auto r = ReadKgString("E 0 T\tL\nX 0\n");
   ASSERT_FALSE(r.ok());

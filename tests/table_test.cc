@@ -85,8 +85,7 @@ TEST(Schema, AddAndLookup) {
   EXPECT_EQ(s.IndexOf("b"), 1u);
   EXPECT_FALSE(s.IndexOf("c").has_value());
   EXPECT_TRUE(s.Contains("a"));
-  EXPECT_EQ(s.FieldByName("a")->type, DataType::kInt64);
-  EXPECT_FALSE(s.FieldByName("zzz").ok());
+  EXPECT_EQ(s.field(*s.IndexOf("a")).type, DataType::kInt64);
 }
 
 TEST(Schema, RejectsDuplicates) {
